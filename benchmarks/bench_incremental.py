@@ -1,127 +1,18 @@
-"""Incremental matching: agreement and speedup.
+"""Incremental re-solve: the delta pipeline against a cold rebuild.
 
-The warm-started operator must reproduce the cold operator's schemas
-(exactly, in practice — deviations are only possible in rare validity-
-conflict orderings, see the module docstring) while cutting the per-call
-cost of the optimizer's hot loop.
+A one-pin edit re-solved through a persistent delta session must return
+the same answer as a session rebuilt from scratch, and must not be
+slower (docs/incremental.md).
 """
 
 from __future__ import annotations
 
-import numpy as np
-import pytest
-
-from repro.matching import IncrementalMatchOperator, MatchOperator
-from repro.quality import Objective
-from repro.search import OptimizerConfig, TabuSearch
+from repro.search import OptimizerConfig
 from repro.session import Session
 
-from common import bench_scale, build_problem, cached_workload
+from common import bench_scale, cached_workload
 
 SCALE = bench_scale()
-
-
-def walk_selections(universe, steps, seed=0, start=None):
-    rng = np.random.default_rng(seed)
-    ids = sorted(universe.source_ids)
-    size = start or SCALE.fig5_choose
-    selection = set(rng.choice(ids, size=size, replace=False).tolist())
-    out = []
-    for _ in range(steps):
-        if len(selection) > 3 and rng.random() < 0.5:
-            selection.remove(int(rng.choice(sorted(selection))))
-        else:
-            outside = [i for i in ids if i not in selection]
-            selection.add(int(rng.choice(outside)))
-        out.append(frozenset(selection))
-    return out
-
-
-@pytest.mark.parametrize("mode", ["cold", "warm"])
-def test_incremental_walk_throughput(benchmark, mode):
-    """Per-call cost along an add/drop walk (the tabu access pattern)."""
-    workload = cached_workload(SCALE.fig6_universe_size)
-    selections = walk_selections(workload.universe, steps=120, seed=1)
-
-    def run():
-        if mode == "warm":
-            operator = IncrementalMatchOperator(
-                workload.universe, theta=0.65
-            )
-        else:
-            operator = MatchOperator(workload.universe, theta=0.65)
-        for selection in selections:
-            operator.match(selection)
-        return operator
-
-    operator = benchmark.pedantic(run, rounds=1, iterations=1)
-    benchmark.group = "incremental: walk throughput"
-    benchmark.extra_info["mode"] = mode
-    if mode == "warm":
-        info = operator.incremental_info()
-        benchmark.extra_info.update(info)
-        print(f"[incremental] warm stats: {info}")
-
-
-def test_incremental_agreement(benchmark):
-    """Schemas along the walk must agree exactly with the cold operator."""
-    workload = cached_workload(SCALE.fig6_universe_size)
-    selections = walk_selections(workload.universe, steps=80, seed=2)
-
-    def run():
-        cold = MatchOperator(workload.universe, theta=0.65)
-        warm = IncrementalMatchOperator(workload.universe, theta=0.65)
-        disagreements = 0
-        for selection in selections:
-            if warm.match(selection).schema != cold.match(selection).schema:
-                disagreements += 1
-        return disagreements
-
-    disagreements = benchmark.pedantic(run, rounds=1, iterations=1)
-    benchmark.group = "incremental: agreement"
-    benchmark.extra_info["disagreements"] = disagreements
-    print(
-        f"[incremental] disagreements={disagreements} "
-        f"over {len(selections)} selections"
-    )
-    assert disagreements == 0
-
-
-def test_incremental_tabu_speedup(benchmark):
-    """End-to-end: the same tabu run with and without warm matching."""
-    workload = cached_workload(SCALE.fig6_universe_size)
-    problem = build_problem(workload, SCALE.fig5_choose, "none")
-    config = OptimizerConfig(
-        max_iterations=SCALE.iterations,
-        sample_size=SCALE.sample_size,
-        seed=0,
-    )
-
-    def run():
-        import time
-
-        t0 = time.perf_counter()
-        plain = TabuSearch(config).optimize(Objective(problem))
-        t1 = time.perf_counter()
-        fast = TabuSearch(config).optimize(
-            Objective(problem, incremental=True)
-        )
-        t2 = time.perf_counter()
-        return plain, fast, t1 - t0, t2 - t1
-
-    plain, fast, plain_s, fast_s = benchmark.pedantic(
-        run, rounds=1, iterations=1
-    )
-    benchmark.group = "incremental: tabu speedup"
-    benchmark.extra_info["plain_seconds"] = round(plain_s, 2)
-    benchmark.extra_info["incremental_seconds"] = round(fast_s, 2)
-    print(
-        f"[incremental] tabu plain={plain_s:.2f}s warm={fast_s:.2f}s "
-        f"(x{plain_s / max(fast_s, 1e-9):.1f}); "
-        f"Q plain={plain.solution.quality:.4f} "
-        f"warm={fast.solution.quality:.4f}"
-    )
-    assert fast.solution.selected == plain.solution.selected
 
 
 def test_delta_one_pin_resolve_speedup(benchmark):

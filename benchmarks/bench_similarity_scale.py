@@ -1,7 +1,8 @@
 """Similarity-matrix construction at scale: blocked vs dense.
 
-The blocked build (inverted 3-gram index + vectorized Jaccard, PR 9) must
-be bit-identical to the dense all-pairs build while scaling sub-
+The blocked build (inverted 3-gram index + vectorized Jaccard) must
+be bit-identical to the dense all-pairs build (the per-pair loop,
+reached through :class:`~repro.testing.PerPairMeasure`) while scaling sub-
 quadratically — this bench measures both claims at growing vocabulary
 sizes and emits ``BENCH_similarity.json`` (a ``mube-metrics`` document)
 so ``benchmarks/track.py`` gates the 2000-name build time and the
@@ -25,6 +26,7 @@ import pytest
 
 from repro.similarity import NameSimilarityMatrix, default_measure
 from repro.telemetry import InMemoryExporter, Telemetry, use_telemetry
+from repro.testing import PerPairMeasure
 
 from common import bench_scale
 
@@ -82,12 +84,14 @@ def vocabulary(size: int, seed: int = 0) -> list[str]:
     return names
 
 
-def timed_build(names, **kwargs):
+def timed_build(names, measure=None):
     """(matrix, seconds, telemetry) of one instrumented build."""
     telemetry = Telemetry(exporters=[InMemoryExporter()])
     with use_telemetry(telemetry):
         started = time.perf_counter()
-        matrix = NameSimilarityMatrix.build(names, default_measure(), **kwargs)
+        matrix = NameSimilarityMatrix.build(
+            names, measure or default_measure()
+        )
         elapsed = time.perf_counter() - started
     telemetry.close()
     return matrix, elapsed, telemetry
@@ -151,7 +155,9 @@ def test_blocked_vs_dense_at_acceptance_scale(benchmark):
 
     def run():
         blocked, blocked_s, telemetry = timed_build(names)
-        dense, dense_s, _ = timed_build(names, blocked=False)
+        dense, dense_s, _ = timed_build(
+            names, PerPairMeasure(default_measure())
+        )
         return blocked, dense, blocked_s, dense_s, telemetry
 
     blocked, dense, blocked_s, dense_s, telemetry = benchmark.pedantic(

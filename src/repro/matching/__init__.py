@@ -10,7 +10,6 @@ from .compound import (
     suggest_compounds,
 )
 from .greedy import greedy_constrained_clustering, run_clustering_rounds
-from .incremental import IncrementalMatchOperator
 from .operator import MatchOperator, MatchResult, coalesce_ga_constraints
 from .reference import sequential_clustering
 
@@ -18,7 +17,6 @@ __all__ = [
     "Cluster",
     "CompoundMapping",
     "CompoundSpec",
-    "IncrementalMatchOperator",
     "LINKAGES",
     "MatchOperator",
     "MatchResult",

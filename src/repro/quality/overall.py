@@ -42,7 +42,6 @@ from ..core import (
 )
 from ..exceptions import WeightError
 from ..explain.events import SelectionScored, get_event_log
-from ..matching.incremental import IncrementalMatchOperator
 from ..matching.operator import MatchOperator
 from ..similarity.matrix import NameSimilarityMatrix
 from ..similarity.measures import SimilarityMeasure
@@ -69,7 +68,6 @@ class Objective:
         prune: bool = True,
         cache_size: int = 200_000,
         exact_data_metrics: bool = False,
-        incremental: bool = False,
         match_operator: MatchOperator | None = None,
         context: EvalContext | None = None,
         patch_context_from: EvalContext | None = None,
@@ -81,10 +79,7 @@ class Objective:
             # the session layer keys its operator cache on exactly those.
             self.match_operator = match_operator
         else:
-            operator_cls = (
-                IncrementalMatchOperator if incremental else MatchOperator
-            )
-            self.match_operator = operator_cls.for_problem(
+            self.match_operator = MatchOperator.for_problem(
                 problem, similarity=similarity, linkage=linkage, prune=prune
             )
         self._exact_data_metrics = exact_data_metrics

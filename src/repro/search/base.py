@@ -151,12 +151,6 @@ class OptimizerConfig:
     sample_size:
         How many ADD candidates a neighborhood samples per iteration
         (0 means all of them).
-    batch:
-        Route candidate scoring through the objective's columnar
-        :meth:`~repro.quality.Objective.evaluate_batch` (the default).
-        ``False`` scores candidates one at a time through the scalar
-        evaluator — the property-tested reference path; trajectories are
-        identical either way, seed for seed.
     """
 
     max_iterations: int = 150
@@ -164,7 +158,6 @@ class OptimizerConfig:
     seed: int = 0
     time_limit: float | None = None
     sample_size: int = 48
-    batch: bool = True
 
 
 @dataclass(frozen=True, slots=True)
@@ -297,8 +290,8 @@ class Optimizer(ABC):
         objective: Objective,
         selections: Sequence[frozenset[int]],
     ) -> list[Solution]:
-        """Score a candidate batch, honouring the config's ``batch`` flag."""
-        return score_candidates(objective, selections, self.config.batch)
+        """Score a candidate batch through :func:`score_candidates`."""
+        return score_candidates(objective, selections)
 
     def _start_selection(
         self,
@@ -408,26 +401,20 @@ def repair_selection(
 def score_candidates(
     objective: Objective,
     selections: Sequence[frozenset[int]],
-    batch: bool = True,
 ) -> list[Solution]:
     """Score candidate selections, order-preserving.
 
-    With ``batch=True`` (the optimizers' default) the whole list goes
-    through the objective's columnar :meth:`~repro.quality.Objective.
-    evaluate_batch` in one call; otherwise — or when the objective is a
-    test double without a batch API — each candidate is scored by the
-    scalar evaluator.  Both paths return bit-identical solutions, so an
-    optimizer's trajectory does not depend on which one ran.
+    The whole list goes through the objective's columnar
+    :meth:`~repro.quality.Objective.evaluate_batch` in one call; an
+    objective without a batch API (a test double, a bare callable) has
+    each candidate scored by the scalar evaluator.  Both paths return
+    bit-identical solutions, so an optimizer's trajectory does not depend
+    on which one ran.
     """
     selections = list(selections)
-    if batch:
-        evaluate_batch = getattr(objective, "evaluate_batch", None)
-        if evaluate_batch is not None:
-            solutions = evaluate_batch(selections)
-        else:
-            solutions = [
-                objective.evaluate(selection) for selection in selections
-            ]
+    evaluate_batch = getattr(objective, "evaluate_batch", None)
+    if evaluate_batch is not None:
+        solutions = evaluate_batch(selections)
     else:
         solutions = [
             objective.evaluate(selection) for selection in selections

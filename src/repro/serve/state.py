@@ -7,8 +7,7 @@ transport:
 
 * :class:`ResidentUniverse` — one universe plus everything expensive
   derived from it: the :class:`~repro.similarity.NameSimilarityMatrix`
-  (built once), the shared :class:`~repro.similarity.CachedSimilarity`
-  measure, and the compiled
+  (built once) and the compiled
   :class:`~repro.quality.compiled.EvalContext`.  All of it is read-only
   after construction; sessions and jobs *adopt* it (see
   ``Session(similarity_matrix=..., eval_context=...)``) instead of
@@ -55,7 +54,6 @@ from ..exceptions import ReproError
 from ..quality.overall import Objective
 from ..search import OptimizerConfig
 from ..session import Session
-from ..similarity.cache import CachedSimilarity
 from ..similarity.matrix import NameSimilarityMatrix
 from ..similarity.measures import default_measure
 from ..telemetry import get_telemetry
@@ -147,10 +145,7 @@ class ResidentUniverse:
     context arrays are never written again) or copy-on-write (a session
     that adds sources gets an *extended* matrix object of its own), so
     concurrent sessions can never observe each other through this
-    object.  The one shared mutable piece — the
-    :class:`~repro.similarity.CachedSimilarity` memo — is a
-    deterministic same-key/same-value cache, safe to share across
-    threads by construction.
+    object.
     """
 
     def __init__(
@@ -172,7 +167,7 @@ class ResidentUniverse:
             if max_sources is not None
             else min(10, len(universe))
         )
-        self.measure = CachedSimilarity(default_measure())
+        self.measure = default_measure()
         self.matrix = NameSimilarityMatrix.build(
             universe.attribute_names(), self.measure
         )

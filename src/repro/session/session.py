@@ -40,7 +40,6 @@ from ..core import (
 from ..exceptions import ConstraintError, ReproError, WeightError
 from ..quality.overall import Objective
 from ..search import OptimizerConfig, SearchResult, get_optimizer
-from ..similarity.cache import CachedSimilarity
 from ..similarity.matrix import NameSimilarityMatrix
 from ..similarity.measures import SimilarityMeasure, default_measure
 from ..telemetry import NoopTelemetry, Telemetry, get_telemetry, use_telemetry
@@ -112,10 +111,6 @@ class Session:
         Registry name of the optimizer to use (default ``"tabu"``).
     optimizer_config:
         Budgets and seed for the optimizer.
-    incremental:
-        Use the warm-started matching operator
-        (:class:`~repro.matching.IncrementalMatchOperator`) inside each
-        solve — faster on large universes, see DESIGN.md.
     telemetry:
         A :class:`~repro.telemetry.Telemetry` to install for the duration
         of every :meth:`solve` (and the similarity-matrix build).  When
@@ -174,7 +169,6 @@ class Session:
         similarity: SimilarityMeasure | None = None,
         optimizer: str = "tabu",
         optimizer_config: OptimizerConfig | None = None,
-        incremental: bool = False,
         telemetry: Telemetry | NoopTelemetry | None = None,
         record_runs: bool = True,
         run_registry=None,
@@ -198,7 +192,6 @@ class Session:
         self.ga_constraints: list[GlobalAttribute] = []
         self.optimizer_name = optimizer
         self.optimizer_config = optimizer_config or OptimizerConfig()
-        self.incremental = incremental
         self.telemetry = telemetry
         if run_registry is not None:
             self.run_registry = run_registry
@@ -216,14 +209,7 @@ class Session:
         self._lock = threading.RLock()
         self.touched_at = time.monotonic()
         self._registry_warned = False
-        # Memoize the raw measure so later vocabulary extensions (adding
-        # a source) and cold-reference rebuilds are cache hits.
-        measure = similarity or default_measure()
-        self._measure = (
-            measure
-            if isinstance(measure, CachedSimilarity)
-            else CachedSimilarity(measure)
-        )
+        self._measure = similarity or default_measure()
         if similarity_matrix is not None:
             self._matrix = similarity_matrix
         else:
@@ -807,7 +793,6 @@ class Session:
             workers,
             similarity=self._matrix,
             initial=initial,
-            incremental=self.incremental,
             eval_context=objective.context,
         )
 
@@ -998,7 +983,6 @@ class Session:
             return Objective(
                 problem,
                 similarity=self._matrix,
-                incremental=self.incremental,
                 match_operator=self._build_operator(problem),
                 context=shared,
             )
@@ -1068,18 +1052,14 @@ class Session:
         return Objective(
             problem,
             similarity=self._matrix,
-            incremental=self.incremental,
             match_operator=operator,
             **kwargs,
         )
 
     def _build_operator(self, problem: Problem):
-        from ..matching import IncrementalMatchOperator, MatchOperator
+        from ..matching import MatchOperator
 
-        operator_cls = (
-            IncrementalMatchOperator if self.incremental else MatchOperator
-        )
-        return operator_cls.for_problem(problem, similarity=self._matrix)
+        return MatchOperator.for_problem(problem, similarity=self._matrix)
 
     def _commit(self, problem: Problem, objective: Objective) -> Objective:
         """Adopt a solve's compiled state as the next delta baseline."""

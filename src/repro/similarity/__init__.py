@@ -1,7 +1,6 @@
-"""Attribute-name similarity: n-grams, measures, caching, matrices."""
+"""Attribute-name similarity: n-grams, measures, matrices."""
 
-from .blocking import LSHConfig, blocked_scores, build_gram_index
-from .cache import CachedSimilarity
+from .blocking import blocked_scores, build_gram_index
 from .instance import HybridSimilarity, InstanceSimilarity
 from .matrix import NameSimilarityMatrix
 from .measures import (
@@ -22,11 +21,9 @@ from .measures import (
 from .ngram import ngrams, normalize_name, word_tokens
 
 __all__ = [
-    "CachedSimilarity",
     "ExactMatch",
     "HybridSimilarity",
     "InstanceSimilarity",
-    "LSHConfig",
     "LevenshteinSimilarity",
     "NGramCosine",
     "NGramDice",

@@ -1,8 +1,8 @@
 """Inverted-token blocking: sub-quadratic similarity-matrix construction.
 
-The dense build in :mod:`repro.similarity.matrix` evaluates the measure on
-all ``n(n-1)/2`` vocabulary pairs, which caps universe size long before the
-paper's "Internet scale".  For the set-based measures
+A per-pair build (what :mod:`repro.similarity.matrix` runs for non-set
+measures) evaluates the measure on all ``n(n-1)/2`` vocabulary pairs,
+which caps universe size long before the paper's "Internet scale".  For the set-based measures
 (:class:`~repro.similarity.measures.SetSimilarityMeasure` — the paper's
 3-gram Jaccard among them) that work is almost entirely wasted: two names
 that share *no* token score exactly ``0.0``, so only pairs sharing at
@@ -17,21 +17,14 @@ This module exploits that:
    sharing >= 1 gram id — read off a gram→names inverted index (or,
    equivalently, the sparse gram-incidence product).  Pairs outside the
    candidate set are *provably* zero, so blocking is exact, not
-   approximate: the blocked matrix is bit-identical to the dense build by
-   construction (property-tested in tests/similarity/test_blocking.py).
+   approximate: the blocked matrix is bit-identical to the per-pair
+   build by construction (property-tested in tests/similarity/test_blocking.py).
 3. **Score vectorized.**  Intersection sizes for the whole candidate set
    come out of one sparse matrix multiply (scipy when available, a pure
    numpy postings merge otherwise), and the measure's
    :meth:`~repro.similarity.measures.SetSimilarityMeasure.score_counts`
    turns them into similarities in one vectorized expression instead of
    one Python ``frozenset`` op per pair.
-
-An optional MinHash-LSH mode (:class:`LSHConfig`) trades exactness for
-scale: candidate pairs are generated from banded MinHash signatures, so
-pairs below the implied similarity threshold may be *missed* (scored 0).
-It is off by default and never used by
-:meth:`~repro.similarity.matrix.NameSimilarityMatrix.build` unless the
-caller asks.
 
 The two special cases the zero-default rule does not cover are handled
 explicitly:
@@ -81,36 +74,6 @@ def _backend() -> str:
     if choice == "scipy" and _scipy_sparse is None:
         raise ReproError("scipy backend requested but scipy is unavailable")
     return choice
-
-
-@dataclass(frozen=True, slots=True)
-class LSHConfig:
-    """MinHash-LSH banding parameters for the approximate candidate mode.
-
-    ``num_perm`` MinHash permutations are split into ``bands`` bands of
-    ``num_perm // bands`` rows; two names become candidates when any band
-    of their signatures collides.  The implied similarity threshold is
-    roughly ``(1/bands)^(bands/num_perm)`` — more bands catch lower
-    similarities at the cost of more candidates.
-    """
-
-    num_perm: int = 64
-    bands: int = 16
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.num_perm < 1:
-            raise ReproError(f"num_perm must be >= 1, got {self.num_perm}")
-        if not 1 <= self.bands <= self.num_perm:
-            raise ReproError(
-                f"bands must be in [1, num_perm={self.num_perm}], "
-                f"got {self.bands}"
-            )
-        if self.num_perm % self.bands:
-            raise ReproError(
-                f"bands ({self.bands}) must divide num_perm "
-                f"({self.num_perm})"
-            )
 
 
 @dataclass(frozen=True, slots=True)
@@ -290,86 +253,6 @@ def exact_candidates(
     return _intersections_numpy(index, row_limit)
 
 
-# -- MinHash-LSH (approximate candidates) -------------------------------------
-
-_MERSENNE = np.uint64((1 << 61) - 1)
-
-
-def minhash_signatures(index: GramIndex, config: LSHConfig) -> np.ndarray:
-    """``(n_names, num_perm)`` MinHash signatures over gram ids.
-
-    Universal hashing ``(a*x + b) mod p`` with a Mersenne prime modulus,
-    vectorized per name; empty token sets get an all-max signature so
-    they never collide with real names (their pairs are handled by the
-    empty-row rule instead).
-    """
-    rng = np.random.default_rng(config.seed)
-    a = rng.integers(1, _MERSENNE, size=config.num_perm, dtype=np.uint64)
-    b = rng.integers(0, _MERSENNE, size=config.num_perm, dtype=np.uint64)
-    signatures = np.full(
-        (len(index), config.num_perm), np.iinfo(np.uint64).max,
-        dtype=np.uint64,
-    )
-    for row, gram_set in enumerate(index.sets):
-        if not len(gram_set):
-            continue
-        hashed = (
-            a[None, :] * gram_set.astype(np.uint64)[:, None] + b[None, :]
-        ) % _MERSENNE
-        signatures[row] = hashed.min(axis=0)
-    return signatures
-
-
-def lsh_candidates(
-    index: GramIndex, config: LSHConfig, row_limit: int | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Approximate candidate pairs via banded MinHash signatures.
-
-    Returns the same triple shape as :func:`exact_candidates`, with
-    intersection sizes computed exactly (sorted-array merge) for the
-    surviving candidates only — so every *returned* score is exact, and
-    the approximation is purely in which pairs are considered at all.
-    """
-    signatures = minhash_signatures(index, config)
-    rows_per_band = config.num_perm // config.bands
-    buckets: dict[tuple, list[int]] = {}
-    for band in range(config.bands):
-        chunk = signatures[:, band * rows_per_band:(band + 1) * rows_per_band]
-        for row in range(len(index)):
-            if not len(index.sets[row]):
-                continue
-            buckets.setdefault(
-                (band, chunk[row].tobytes()), []
-            ).append(row)
-    pairs: set[tuple[int, int]] = set()
-    for members in buckets.values():
-        if len(members) < 2:
-            continue
-        for i_pos in range(len(members)):
-            for j_pos in range(i_pos + 1, len(members)):
-                i, j = members[i_pos], members[j_pos]
-                if i > j:
-                    i, j = j, i
-                if row_limit is not None and j < row_limit:
-                    continue
-                pairs.add((i, j))
-    if not pairs:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty, empty
-    ordered = sorted(pairs)
-    rows = np.array([p[0] for p in ordered], dtype=np.int64)
-    cols = np.array([p[1] for p in ordered], dtype=np.int64)
-    inter = np.array(
-        [
-            len(np.intersect1d(index.sets[i], index.sets[j]))
-            for i, j in ordered
-        ],
-        dtype=np.int64,
-    )
-    keep = inter > 0
-    return rows[keep], cols[keep], inter[keep]
-
-
 # -- scoring ------------------------------------------------------------------
 
 
@@ -392,7 +275,6 @@ def _empty_pairs(
 def blocked_scores(
     names: Sequence[str],
     measure: SetSimilarityMeasure,
-    lsh: LSHConfig | None = None,
     row_limit: int | None = None,
 ) -> BlockedScores:
     """Every nonzero off-diagonal similarity of a vocabulary, blocked.
@@ -401,20 +283,14 @@ def blocked_scores(
     :meth:`~repro.similarity.matrix.NameSimilarityMatrix.build` and
     :meth:`~repro.similarity.matrix.NameSimilarityMatrix.extended`
     paths.  With ``row_limit`` only pairs touching a name at or past that
-    row are scored (the rest are already known to the caller).  With an
-    :class:`LSHConfig`, candidates come from MinHash banding instead of
-    the exact inverted index — faster at extreme scale, but pairs the
-    banding misses are silently zero.
+    row are scored (the rest are already known to the caller).
     """
     profiler = get_profiler()
     telemetry = get_telemetry()
     with profiler.phase("similarity.index"):
         index = build_gram_index(names, measure)
     with profiler.phase("similarity.candidates"):
-        if lsh is None:
-            rows, cols, inter = exact_candidates(index, row_limit)
-        else:
-            rows, cols, inter = lsh_candidates(index, lsh, row_limit)
+        rows, cols, inter = exact_candidates(index, row_limit)
     with profiler.phase("similarity.score"):
         values = np.asarray(
             measure.score_counts(
@@ -459,10 +335,7 @@ __all__ = [
     "BACKEND_ENV",
     "BlockedScores",
     "GramIndex",
-    "LSHConfig",
     "blocked_scores",
     "build_gram_index",
     "exact_candidates",
-    "lsh_candidates",
-    "minhash_signatures",
 ]

@@ -8,17 +8,16 @@ vocabulary-by-vocabulary similarity matrix once per universe makes every
 later lookup an O(1) array read and lets the clustering algorithm gather
 whole cluster-pair blocks with numpy fancy indexing.
 
-Two build paths exist:
+The build path follows from the measure type:
 
 * **Blocked** (set-based measures — the paper's 3-gram Jaccard included):
   candidate pairs come from an inverted gram index and are scored
   vectorized (:mod:`repro.similarity.blocking`), so construction cost
   scales with the pairs that can be nonzero instead of all ``n²`` — and is
-  bit-identical to the dense build, because a pair sharing no gram scores
-  exactly zero.
-* **Dense fallback** (arbitrary measures): the classic upper-triangle
-  loop, with each name tokenized once when the measure exposes the
-  :meth:`~repro.similarity.measures.SetSimilarityMeasure.grams` hook.
+  bit-identical to an all-pairs build, because a pair sharing no gram
+  scores exactly zero.
+* **Per-pair** (every other measure — Levenshtein, hybrid, instance):
+  the classic upper-triangle loop calling ``measure(a, b)`` once per pair.
 
 Storage is auto-selected by nonzero density: large sparse vocabularies are
 kept in CSR form (the similarity of "internet scale" name vocabularies is
@@ -37,7 +36,7 @@ import numpy as np
 
 from ..exceptions import ReproError
 from ..telemetry import get_profiler, get_telemetry
-from .blocking import LSHConfig, blocked_scores
+from .blocking import blocked_scores
 from .measures import SetSimilarityMeasure, SimilarityMeasure
 
 #: Below this vocabulary size the dense array always wins (a few hundred
@@ -130,41 +129,6 @@ class _CsrMatrix:
         )
 
 
-def _unwrap_set_measure(
-    measure: SimilarityMeasure,
-) -> SetSimilarityMeasure | None:
-    """The set-based core of a measure, seeing through the pair memo.
-
-    A :class:`~repro.similarity.cache.CachedSimilarity` wrapping a
-    set-based measure routes through the blocked path on its *inner*
-    measure — the memo is pointless for a build that touches each pair at
-    most once, and the blocked result is bit-identical by the memo's
-    pure-function contract.
-    """
-    if isinstance(measure, SetSimilarityMeasure):
-        return measure
-    inner = getattr(measure, "measure", None)
-    if inner is not None and isinstance(inner, SetSimilarityMeasure):
-        return inner
-    return None
-
-
-def _pair_scorer(vocabulary: Sequence[str], measure: SimilarityMeasure):
-    """An ``(i, j) -> float`` scorer over vocabulary positions.
-
-    For set-based measures the names are tokenized once up front — O(n)
-    tokenizations instead of the O(n²) of calling ``measure(a, b)`` per
-    pair — via the same :meth:`~repro.similarity.measures.
-    SetSimilarityMeasure.grams` hook the blocked path uses.  Arbitrary
-    measures fall back to per-pair name calls.
-    """
-    set_measure = _unwrap_set_measure(measure)
-    if set_measure is None:
-        return lambda i, j: measure(vocabulary[i], vocabulary[j])
-    gram_sets = [set_measure.grams(name) for name in vocabulary]
-    return lambda i, j: set_measure.score_sets(gram_sets[i], gram_sets[j])
-
-
 def _choose_sparse(n: int, upper_nnz: int, storage: str) -> bool:
     """Auto-select CSR storage for large, sparse vocabularies."""
     if storage == "dense":
@@ -237,43 +201,24 @@ class NameSimilarityMatrix:
         cls,
         names: Iterable[str],
         measure: SimilarityMeasure,
-        lsh: LSHConfig | None = None,
-        blocked: bool | None = None,
         storage: str = "auto",
     ) -> "NameSimilarityMatrix":
         """Compute the full matrix for a vocabulary under a measure.
 
         The measure is assumed symmetric with self-similarity 1.0; only
-        the upper triangle is computed.  Set-based measures route through
-        the blocked sub-quadratic path by default (``blocked=None``
-        auto-detects; ``False`` forces the dense all-pairs loop, which is
-        bit-identical but quadratic).  ``lsh`` switches the blocked path
-        to approximate MinHash-LSH candidates — off by default because it
-        can miss low-similarity pairs (see
-        :class:`~repro.similarity.blocking.LSHConfig`).  ``storage``
-        picks the backing store (``auto``/``dense``/``sparse``).
+        the upper triangle is computed.  Set-based measures take the
+        blocked sub-quadratic path, every other measure the per-pair
+        loop.  ``storage`` picks the backing store
+        (``auto``/``dense``/``sparse``).
         """
         telemetry = get_telemetry()
         vocabulary = tuple(dict.fromkeys(names))
         size = len(vocabulary)
-        set_measure = _unwrap_set_measure(measure)
-        if blocked is None:
-            use_blocked = set_measure is not None
-        elif blocked and set_measure is None:
-            raise ReproError(
-                f"measure {measure.name!r} is not set-based; the blocked "
-                f"build path needs a SetSimilarityMeasure"
-            )
-        else:
-            use_blocked = blocked
-        if lsh is not None and not use_blocked:
-            raise ReproError("lsh candidates require the blocked build path")
         with get_profiler().phase("similarity"), telemetry.span(
-            "similarity.matrix_build", vocabulary=size,
-            measure=measure.name, blocked=use_blocked,
+            "similarity.matrix_build", vocabulary=size, measure=measure.name
         ):
-            if use_blocked:
-                scores = blocked_scores(vocabulary, set_measure, lsh=lsh)
+            if isinstance(measure, SetSimilarityMeasure):
+                scores = blocked_scores(vocabulary, measure)
                 result = cls._assemble(
                     vocabulary,
                     scores.rows,
@@ -284,10 +229,9 @@ class NameSimilarityMatrix:
                 )
             else:
                 matrix = np.eye(size, dtype=np.float64)
-                score = _pair_scorer(vocabulary, measure)
                 for i in range(size):
                     for j in range(i + 1, size):
-                        value = score(i, j)
+                        value = measure(vocabulary[i], vocabulary[j])
                         matrix[i, j] = value
                         matrix[j, i] = value
                 result = cls(vocabulary, matrix, measure_name=measure.name)
@@ -321,7 +265,6 @@ class NameSimilarityMatrix:
         self,
         names: Iterable[str],
         measure: SimilarityMeasure,
-        lsh: LSHConfig | None = None,
         storage: str = "auto",
     ) -> "NameSimilarityMatrix":
         """A matrix over this vocabulary plus ``names``, reusing this block.
@@ -329,8 +272,7 @@ class NameSimilarityMatrix:
         Only the new rows/columns are computed — for set-based measures
         through the same blocked candidate generation as :meth:`build`
         (restricted to pairs touching a fresh name), otherwise O(new ×
-        total) tokenize-once measure calls instead of the O(total²) of a
-        cold build — which is what makes adding a source to a large
+        total) measure calls instead of the O(total²) of a cold build — which is what makes adding a source to a large
         universe cheap.  Values are identical to a cold build over the
         union vocabulary (the measure is a pure pair function), but the
         new names are *appended* rather than re-sorted, so existing name
@@ -347,16 +289,12 @@ class NameSimilarityMatrix:
         old = len(self.names)
         size = old + len(fresh)
         vocabulary = self.names + fresh
-        set_measure = _unwrap_set_measure(measure)
         with get_profiler().phase("similarity"), telemetry.span(
             "similarity.matrix_extend", vocabulary=size,
             added=len(fresh), measure=self.measure_name,
-            blocked=set_measure is not None,
         ):
-            if set_measure is not None:
-                scores = blocked_scores(
-                    vocabulary, set_measure, lsh=lsh, row_limit=old
-                )
+            if isinstance(measure, SetSimilarityMeasure):
+                scores = blocked_scores(vocabulary, measure, row_limit=old)
                 old_rows, old_cols, old_values = self._upper_entries()
                 result = type(self)._assemble(
                     vocabulary,
@@ -369,10 +307,9 @@ class NameSimilarityMatrix:
             else:
                 matrix = np.eye(size, dtype=np.float64)
                 matrix[:old, :old] = self.matrix
-                score = _pair_scorer(vocabulary, measure)
                 for i in range(old, size):
                     for j in range(i):
-                        value = score(i, j)
+                        value = measure(vocabulary[i], vocabulary[j])
                         matrix[i, j] = value
                         matrix[j, i] = value
                 result = NameSimilarityMatrix(

@@ -49,8 +49,7 @@ class SetSimilarityMeasure(SimilarityMeasure):
 
     Subclasses implement :meth:`grams` and :meth:`score_counts`; the
     scalar :meth:`score_sets` (and with it ``__call__``) is derived, so
-    the blocked, dense-tokenize-once and per-pair paths can never drift
-    apart.
+    the blocked and per-pair paths can never drift apart.
     """
 
     @abstractmethod

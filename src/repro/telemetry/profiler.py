@@ -32,20 +32,27 @@ is the retained-bytes difference across the phase.
 
 Cache analytics ride along: objects with memo tables
 (:class:`~repro.quality.overall.Objective`,
-:class:`~repro.matching.operator.MatchOperator`,
-:class:`~repro.similarity.cache.CachedSimilarity`) register a probe when
+:class:`~repro.matching.operator.MatchOperator`) register a probe when
 they are built under an enabled profiler; the profiler samples every
-probe at phase closes (throttled, bounded) into a hit-ratio-over-time
-series, and flushes the final hit/miss/eviction totals into
-``profile.cache.*`` counters on :meth:`PhaseProfiler.close` so they,
-too, merge across workers.
+probe at phase closes (throttled, bounded — and always when a thread's
+outermost phase closes) into a hit-ratio-over-time series, and flushes
+the final hit/miss/eviction totals into ``profile.cache.*`` counters on
+:meth:`PhaseProfiler.close` so they, too, merge across workers.  A probe
+that is a bound method is held weakly, so a long-lived profiler (the one
+``mube serve`` installs) never keeps a deleted session's objects alive;
+when its owner is collected, the probe's last sampled stats are folded
+into the totals.  The probe registry is guarded by a lock and iterated
+as a snapshot, so sessions on other threads may register probes while a
+sample is running.
 """
 
 from __future__ import annotations
 
 import io
+import threading
 import time
 import tracemalloc
+import weakref
 from contextlib import contextmanager
 from typing import Any, Callable
 
@@ -78,6 +85,8 @@ class _PhaseSpan:
 
     def __enter__(self) -> "_PhaseSpan":
         profiler = self._profiler
+        local = profiler._local
+        local.depth = getattr(local, "depth", 0) + 1
         if profiler.memory and tracemalloc.is_tracing():
             self._mem0 = profiler._push_mem_frame()
         self._cpu0 = time.process_time()
@@ -96,7 +105,9 @@ class _PhaseSpan:
             delta, peak = profiler._pop_mem_frame(self._mem0)
             metrics.histogram(base + ".mem_peak_bytes").observe(peak)
             metrics.histogram(base + ".mem_delta_bytes").observe(delta)
-        profiler.sample_caches()
+        local = profiler._local
+        local.depth -= 1
+        profiler.sample_caches(force=local.depth == 0)
 
 
 class _NoopPhaseSpan:
@@ -144,7 +155,13 @@ class PhaseProfiler:
         self.cache_sample_interval = cache_sample_interval
         self.max_cache_samples = max(2, max_cache_samples)
         self._epoch = time.perf_counter()
-        self._probes: dict[str, Callable[[], dict]] = {}
+        self._lock = threading.Lock()
+        self._local = threading.local()
+        # Probe name -> dereference callable (None once the owner died).
+        self._probes: dict[str, Callable[[], Callable[[], dict] | None]] = {}
+        self._serials: dict[str, int] = {}
+        self._last_stats: dict[str, dict] = {}
+        self._retired: dict[str, dict[str, int]] = {}
         self._cache_series: list[dict[str, Any]] = []
         self._last_sample = -float("inf")
         self._peak_stack: list[int] = []
@@ -166,25 +183,24 @@ class PhaseProfiler:
         Safe to call twice; only the first close flushes.  The final
         per-probe hit/miss/eviction totals land in ``profile.cache.*``
         counters (suffixes like ``#2`` from duplicate registrations are
-        folded together), which is the form that crosses process
+        folded together, as are the last sampled stats of probes whose
+        owner was collected), which is the form that crosses process
         boundaries through ``merge_snapshot``.
         """
         if self._closed:
             return
         self._closed = True
         self.sample_caches(force=True)
+        with self._lock:
+            totals = {base: dict(t) for base, t in self._retired.items()}
+            for name, stats in self._last_stats.items():
+                _fold(totals, name, stats)
         metrics = get_telemetry().metrics
-        for name, probe in self._probes.items():
-            base = name.split("#", 1)[0]
-            try:
-                stats = probe()
-            except Exception:  # noqa: BLE001 - a dead probe can't fail a run
-                continue
-            for field in ("hits", "misses", "evictions"):
-                if field in stats:
-                    metrics.counter(
-                        f"{CACHE_METRIC_PREFIX}{base}.{field}"
-                    ).inc(int(stats[field]))
+        for base, fields in totals.items():
+            for field, value in fields.items():
+                metrics.counter(
+                    f"{CACHE_METRIC_PREFIX}{base}.{field}"
+                ).inc(value)
         if self._started_tracing and tracemalloc.is_tracing():
             tracemalloc.stop()
             self._started_tracing = False
@@ -235,13 +251,55 @@ class PhaseProfiler:
         Registering the same name again (one objective per portfolio
         worker, say) gets a ``#2``-style suffix, so every instance keeps
         its own series; :meth:`close` folds suffixed probes back into
-        one counter family.
+        one counter family.  A bound method is held weakly (the probe
+        must not keep its owner alive); any other callable strongly.
         """
-        key, serial = name, 2
-        while key in self._probes:
-            key = f"{name}#{serial}"
-            serial += 1
-        self._probes[key] = probe
+        try:
+            ref = weakref.WeakMethod(probe)
+        except TypeError:
+            ref = lambda: probe  # noqa: E731 - a strong "reference"
+        with self._lock:
+            serial = self._serials.get(name, 0) + 1
+            self._serials[name] = serial
+            key = name if serial == 1 else f"{name}#{serial}"
+            self._probes[key] = ref
+
+    def _live_probes(self) -> list[tuple[str, Callable[[], dict]]]:
+        """Snapshot the live probes; retire those whose owner died.
+
+        Call with the lock held.  The snapshot holds strong references,
+        so every owner in it stays alive while its probe is read.
+        """
+        live = []
+        for name, ref in list(self._probes.items()):
+            probe = ref()
+            if probe is not None:
+                live.append((name, probe))
+                continue
+            del self._probes[name]
+            stats = self._last_stats.pop(name, None)
+            if stats is not None:
+                _fold(self._retired, name, stats)
+        return live
+
+    def _read(self) -> dict[str, dict]:
+        """Current stats of every live probe (failing probes skipped).
+
+        The stats are recorded as each probe's last sample while the
+        snapshot still keeps the owners alive, so no owner can be
+        retired between its read and its record.
+        """
+        with self._lock:
+            live = self._live_probes()
+        caches: dict[str, dict] = {}
+        for name, probe in live:
+            try:
+                caches[name] = dict(probe())
+            except Exception:  # noqa: BLE001 - observation must never raise
+                continue
+        with self._lock:
+            self._last_stats.update(caches)
+        return caches
 
     def sample_caches(self, force: bool = False) -> None:
         """Sample every probe into the hit-ratio series (throttled)."""
@@ -251,33 +309,32 @@ class PhaseProfiler:
         if not force and now - self._last_sample < self.cache_sample_interval:
             return
         self._last_sample = now
-        caches: dict[str, dict] = {}
-        for name, probe in self._probes.items():
-            try:
-                caches[name] = dict(probe())
-            except Exception:  # noqa: BLE001 - observation must never raise
-                continue
-        self._cache_series.append(
-            {"t": now - self._epoch, "caches": caches}
-        )
-        if len(self._cache_series) > self.max_cache_samples:
-            self._cache_series = self._cache_series[::2]
-            self.cache_sample_interval *= 2.0
+        caches = self._read()
+        with self._lock:
+            self._cache_series.append(
+                {"t": now - self._epoch, "caches": caches}
+            )
+            if len(self._cache_series) > self.max_cache_samples:
+                self._cache_series = self._cache_series[::2]
+                self.cache_sample_interval *= 2.0
 
     def cache_analytics(self) -> dict[str, dict[str, Any]]:
-        """Per-probe final stats plus the hit-ratio-over-time series."""
+        """Per-probe final stats plus the hit-ratio-over-time series.
+
+        Covers the live probes only; a collected owner's stats survive
+        in the :meth:`close` totals.
+        """
+        caches = self._read()
+        with self._lock:
+            history = list(self._cache_series)
         analytics: dict[str, dict[str, Any]] = {}
-        for name, probe in self._probes.items():
-            try:
-                final = dict(probe())
-            except Exception:  # noqa: BLE001
-                continue
+        for name, final in caches.items():
             series = [
                 {
                     "t": round(sample["t"], 6),
                     "hit_rate": _hit_rate(sample["caches"][name]),
                 }
-                for sample in self._cache_series
+                for sample in history
                 if name in sample["caches"]
             ]
             final["hit_rate"] = _hit_rate(final)
@@ -356,6 +413,16 @@ def use_profiler(profiler: PhaseProfiler | NoopPhaseProfiler):
         yield profiler
     finally:
         _current = previous
+
+
+def _fold(
+    totals: dict[str, dict[str, int]], name: str, stats: dict
+) -> None:
+    """Add one probe's hit/miss/eviction counts to its family's totals."""
+    family = totals.setdefault(name.split("#", 1)[0], {})
+    for field in ("hits", "misses", "evictions"):
+        if field in stats:
+            family[field] = family.get(field, 0) + int(stats[field])
 
 
 def _hit_rate(stats: dict) -> float:

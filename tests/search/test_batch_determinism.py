@@ -1,11 +1,12 @@
 """Batch-mode search must reproduce scalar-mode search, seed for seed.
 
-``OptimizerConfig(batch=...)`` only changes *how* candidate neighborhoods
-are scored — through ``Objective.evaluate_batch`` or the scalar
-``evaluate`` — never *what* the optimizer does.  Because the batch
-evaluator is bit-identical to the scalar one and the optimizers consume
-their RNGs in the same order either way, entire runs must match:
-trajectory, best solution, iteration and evaluation counts.
+Whether candidate neighborhoods are scored through
+``Objective.evaluate_batch`` or, for an objective without one, the scalar
+``evaluate`` changes only *how* they are scored, never *what* the
+optimizer does.  Because the batch evaluator is bit-identical to the
+scalar one and the optimizers consume their RNGs in the same order either
+way, entire runs must match: trajectory, best solution, iteration and
+evaluation counts.
 """
 
 from __future__ import annotations
@@ -21,11 +22,23 @@ from repro.search.base import repair_selection
 from .test_optimizers import METAHEURISTICS, tiny_problem
 
 
+class ScalarObjective:
+    """An objective proxy without ``evaluate_batch``: forces scalar scoring."""
+
+    def __init__(self, objective: Objective):
+        self._objective = objective
+
+    def __getattr__(self, name: str):
+        if name == "evaluate_batch":
+            raise AttributeError(name)
+        return getattr(self._objective, name)
+
+
 def run(name: str, batch: bool, seed: int, **problem_kwargs):
     objective = Objective(tiny_problem(**problem_kwargs))
-    config = OptimizerConfig(
-        max_iterations=30, patience=20, seed=seed, batch=batch
-    )
+    if not batch:
+        objective = ScalarObjective(objective)
+    config = OptimizerConfig(max_iterations=30, patience=20, seed=seed)
     return get_optimizer(name, config).optimize(objective)
 
 

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import time
 import urllib.error
 import urllib.request
+import weakref
 
 import pytest
 
@@ -102,6 +104,22 @@ class TestSessionEndpoints:
         status, payload = app.dispatch("GET", f"/sessions/{sid}")
         assert status == 410
         assert payload["error"]["code"] == "session_expired"
+
+    def test_deleted_session_objective_is_collected(self, app):
+        """The service-wide profiler must not pin a closed session."""
+        _, created = app.dispatch("POST", "/sessions", {"seed": 1})
+        sid = created["session_id"]
+        status, _ = app.dispatch("POST", f"/sessions/{sid}/solve", {})
+        assert status == 200
+        session = app.sessions.get(sid).session
+        objective = weakref.ref(session._objective)
+        operator = weakref.ref(session._objective.match_operator)
+        del session
+        status, _ = app.dispatch("DELETE", f"/sessions/{sid}")
+        assert status == 200
+        gc.collect()
+        assert objective() is None
+        assert operator() is None
 
     def test_ttl_eviction_is_410_with_clear_body(self, resident, tmp_path):
         with ServeApp(

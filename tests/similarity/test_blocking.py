@@ -6,8 +6,9 @@ exactly 0.0 for every set-based measure, and both-empty token sets score
 matrix bit for bit, not approximately, over arbitrary vocabularies:
 short names (below the gram width), names that normalize to nothing,
 near-duplicates, and both candidate backends.  ``extended()`` over a
-blocked matrix must likewise equal a cold blocked build on the union
-vocabulary.  Hypothesis drives the vocabularies; every comparison is
+blocked matrix must likewise equal a cold build on the union vocabulary.
+The dense reference is the per-pair loop, reached by wrapping the set
+measure in :class:`~repro.testing.PerPairMeasure`.  Hypothesis drives the vocabularies; every comparison is
 ``assert_array_equal``, never ``allclose``.
 """
 
@@ -19,7 +20,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.similarity import (
-    LSHConfig,
     NameSimilarityMatrix,
     NGramCosine,
     NGramDice,
@@ -32,9 +32,9 @@ from repro.similarity.blocking import (
     BACKEND_ENV,
     build_gram_index,
     exact_candidates,
-    lsh_candidates,
 )
 from repro.telemetry import InMemoryExporter, Telemetry, use_telemetry
+from repro.testing import PerPairMeasure
 
 MEASURES = [
     NGramJaccard(3),
@@ -64,7 +64,8 @@ VOCABULARY = st.lists(NAME, min_size=0, max_size=30, unique=True)
 
 
 def dense_build(names, measure):
-    return NameSimilarityMatrix.build(names, measure, blocked=False)
+    """The per-pair all-pairs reference build."""
+    return NameSimilarityMatrix.build(names, PerPairMeasure(measure))
 
 
 class TestBlockedEqualsDense:
@@ -88,12 +89,12 @@ class TestBlockedEqualsDense:
         suppress_health_check=[HealthCheck.too_slow],
     )
     def test_extended_equals_cold_union_build(self, names, split):
-        """extended() over a blocked matrix ≡ cold blocked union build."""
+        """extended() over a blocked matrix ≡ cold per-pair union build."""
         split = min(split, len(names))
         measure = NGramJaccard(3)
         base = NameSimilarityMatrix.build(names[:split], measure)
         extended = base.extended(names[split:], measure)
-        cold = NameSimilarityMatrix.build(names, measure)
+        cold = dense_build(names, measure)
         np.testing.assert_array_equal(extended.matrix, cold.matrix)
         assert extended.names == cold.names
 
@@ -147,42 +148,6 @@ class TestCandidates:
         assert len(rows) > 0
         assert (cols >= 3).all()
         assert (rows < cols).all()
-
-
-class TestLSH:
-    def test_lsh_candidates_are_a_subset_with_exact_scores(self):
-        measure = NGramJaccard(3)
-        names = [f"attribute_name_{i}" for i in range(40)] + ["zz", "qq"]
-        index = build_gram_index(names, measure)
-        exact_rows, exact_cols, exact_inter = exact_candidates(index)
-        exact_pairs = {
-            (i, j): k
-            for i, j, k in zip(
-                exact_rows.tolist(), exact_cols.tolist(), exact_inter.tolist()
-            )
-        }
-        rows, cols, inter = lsh_candidates(index, LSHConfig(seed=7))
-        assert len(rows) > 0
-        for i, j, k in zip(rows.tolist(), cols.tolist(), inter.tolist()):
-            assert exact_pairs[(i, j)] == k
-
-    def test_lsh_build_never_scores_above_exact(self):
-        measure = NGramJaccard(3)
-        names = [f"attr_{i}" for i in range(25)]
-        lsh = NameSimilarityMatrix.build(names, measure, lsh=LSHConfig())
-        exact = NameSimilarityMatrix.build(names, measure)
-        # LSH may miss pairs (score 0 where exact is positive) but every
-        # pair it does score must carry the exact value.
-        mask = lsh.matrix != 0.0
-        np.testing.assert_array_equal(lsh.matrix[mask], exact.matrix[mask])
-
-    def test_bad_config_rejected(self):
-        from repro.exceptions import ReproError
-
-        with pytest.raises(ReproError):
-            LSHConfig(num_perm=64, bands=7)
-        with pytest.raises(ReproError):
-            LSHConfig(num_perm=0)
 
 
 class TestTelemetry:

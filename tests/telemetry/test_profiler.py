@@ -8,6 +8,11 @@ never — under any configuration — changing solve results.
 
 from __future__ import annotations
 
+import gc
+import sys
+import threading
+import weakref
+
 import pytest
 
 from repro.search import OptimizerConfig
@@ -177,6 +182,92 @@ class TestCacheAnalytics:
         profiler.sample_caches(force=True)
         assert profiler.cache_analytics() == {}
         profiler.close()
+
+
+class TestProbeRegistry:
+    def test_probe_registered_during_a_sample_does_not_raise(self, telemetry):
+        """A new objective may register while another thread samples.
+
+        Under ``mube serve`` one profiler watches every session; a probe
+        registered mid-iteration used to raise "dictionary changed size
+        during iteration" out of the sampling phase close.
+        """
+        profiler = PhaseProfiler()
+
+        def registering():
+            profiler.add_cache_probe("late", lambda: {"hits": 1, "misses": 0})
+            return {"hits": 0, "misses": 1}
+
+        profiler.add_cache_probe("memo", registering)
+        profiler.sample_caches(force=True)
+        analytics = profiler.cache_analytics()
+        profiler.close()
+        assert "memo" in analytics and "late" in analytics
+        totals = cache_totals(telemetry.metrics.snapshot())
+        assert totals["memo"] == {"hits": 0, "misses": 1}
+
+    def test_probe_does_not_keep_its_owner_alive(self, telemetry):
+        class Owner:
+            def __init__(self):
+                self.stats = {"hits": 2, "misses": 3}
+
+            def cache_info(self):
+                return dict(self.stats)
+
+        profiler = PhaseProfiler()
+        owner = Owner()
+        profiler.add_cache_probe("memo", owner.cache_info)
+        profiler.add_cache_probe("memo", lambda: {"hits": 1, "misses": 1})
+        profiler.sample_caches(force=True)
+        owner.stats = {"hits": 4, "misses": 3}
+        with profiler.phase("search"):  # outermost close: sampled again
+            pass
+        collected = weakref.ref(owner)
+        del owner
+        gc.collect()
+        assert collected() is None
+        assert set(profiler.cache_analytics()) == {"memo#2"}
+        profiler.close()
+        # The collected owner's last sampled stats still count.
+        totals = cache_totals(telemetry.metrics.snapshot())
+        assert totals["memo"] == {"hits": 5, "misses": 4}
+
+
+    def test_concurrent_registration_and_sampling(self, telemetry):
+        """Threads register and sample at once; no probe is lost."""
+        profiler = PhaseProfiler(
+            cache_sample_interval=0.0, max_cache_samples=8
+        )
+        errors: list[BaseException] = []
+        threads_n, probes_per_thread = 8, 20
+
+        def work():
+            try:
+                for _ in range(probes_per_thread):
+                    profiler.add_cache_probe(
+                        "memo", lambda: {"hits": 1, "misses": 0}
+                    )
+                    with profiler.phase("matching"):
+                        pass
+                    profiler.cache_analytics()
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(threads_n)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        profiler.close()
+        totals = cache_totals(telemetry.metrics.snapshot())
+        assert totals["memo"]["hits"] == threads_n * probes_per_thread
 
 
 class TestWorkerFoldBack:
