@@ -23,8 +23,9 @@ import time
 
 import pytest
 
+from repro.run_context import run_scope
 from repro.serve import ResidentUniverse, ServeApp
-from repro.telemetry import PhaseProfiler, Telemetry, use_profiler, use_telemetry
+from repro.telemetry import PhaseProfiler, Telemetry
 
 from common import bench_scale, cached_workload
 
@@ -93,7 +94,7 @@ def test_concurrent_sessions_share_resident_universe(benchmark, tmp_path):
     telemetry = Telemetry()
     profiler = PhaseProfiler()
     profiler.start()
-    with use_telemetry(telemetry), use_profiler(profiler):
+    with run_scope(telemetry=telemetry, profiler=profiler):
         # Warmup: the one and only compile the service ever performs.
         workload = cached_workload(N_SOURCES)
         resident = ResidentUniverse(

@@ -24,8 +24,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.run_context import run_scope
 from repro.similarity import NameSimilarityMatrix, default_measure
-from repro.telemetry import InMemoryExporter, Telemetry, use_telemetry
+from repro.telemetry import InMemoryExporter, Telemetry
 from repro.testing import PerPairMeasure
 
 from common import bench_scale
@@ -87,7 +88,7 @@ def vocabulary(size: int, seed: int = 0) -> list[str]:
 def timed_build(names, measure=None):
     """(matrix, seconds, telemetry) of one instrumented build."""
     telemetry = Telemetry(exporters=[InMemoryExporter()])
-    with use_telemetry(telemetry):
+    with run_scope(telemetry=telemetry):
         started = time.perf_counter()
         matrix = NameSimilarityMatrix.build(
             names, measure or default_measure()

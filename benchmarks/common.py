@@ -23,8 +23,9 @@ import numpy as np
 
 from repro.core import CharacteristicSpec, Problem, default_weights
 from repro.quality import Objective
+from repro.run_context import run_scope
 from repro.search import OptimizerConfig, TabuSearch
-from repro.telemetry import InMemoryExporter, Telemetry, use_telemetry
+from repro.telemetry import InMemoryExporter, Telemetry
 from repro.workload import (
     BooksWorkload,
     DataConfig,
@@ -202,7 +203,7 @@ def solve_tabu(problem: Problem, seed: int = 0):
     scale = bench_scale()
     telemetry = Telemetry(exporters=[InMemoryExporter()])
     _last_telemetry = telemetry
-    with use_telemetry(telemetry):
+    with run_scope(telemetry=telemetry):
         objective = Objective(problem)
         sample = max(scale.sample_size, round(0.12 * len(problem.universe)))
         iterations = scale.iterations + problem.max_sources

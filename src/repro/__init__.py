@@ -43,8 +43,6 @@ from .explain import (
     SolutionExplanation,
     explain_solution,
     get_event_log,
-    set_event_log,
-    use_event_log,
 )
 from .execution import (
     CostModel,
@@ -64,6 +62,7 @@ from .matching import (
     suggest_compounds,
 )
 from .quality import Objective
+from .run_context import RunContext, current_run, run_scope
 from .search import (
     OPTIMIZERS,
     OptimizerConfig,
@@ -81,8 +80,6 @@ from .telemetry import (
     get_telemetry,
     load_trace,
     render_trace_report,
-    set_telemetry,
-    use_telemetry,
 )
 from .similarity import (
     HybridSimilarity,
@@ -137,6 +134,7 @@ __all__ = [
     "Query",
     "QueryResult",
     "ReproError",
+    "RunContext",
     "SearchError",
     "SearchResult",
     "Session",
@@ -154,6 +152,7 @@ __all__ = [
     "apply_compounds",
     "available_measures",
     "build_catalog",
+    "current_run",
     "default_weights",
     "explain_solution",
     "full_answer_count",
@@ -169,13 +168,10 @@ __all__ = [
     "render_schema",
     "render_solution",
     "render_trace_report",
+    "run_scope",
     "score_schema",
-    "set_event_log",
-    "set_telemetry",
     "suggest_compounds",
     "theater_universe",
-    "use_event_log",
-    "use_telemetry",
     "value_samples_for_universe",
     "__version__",
 ]

@@ -21,6 +21,7 @@ import sys
 from collections.abc import Sequence
 
 from .core import CharacteristicSpec, default_weights
+from .run_context import run_scope
 from .search import OPTIMIZERS, OptimizerConfig
 from .session import Session, render_history, render_solution
 from .telemetry import (
@@ -28,7 +29,6 @@ from .telemetry import (
     JsonLinesExporter,
     StderrSummaryExporter,
     Telemetry,
-    use_telemetry,
 )
 from .workload import generate_books_universe, theater_universe
 
@@ -46,7 +46,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: cannot open trace file: {exc}", file=sys.stderr)
         return 2
     try:
-        with use_telemetry(telemetry):
+        with run_scope(telemetry=telemetry):
             return args.handler(args)
     finally:
         telemetry.close()

@@ -43,8 +43,6 @@ from .events import (
     SeedPlanted,
     SelectionScored,
     get_event_log,
-    set_event_log,
-    use_event_log,
 )
 
 _LAZY = {
@@ -83,8 +81,6 @@ __all__ = [
     "render_explanation_json",
     "render_explanation_markdown",
     "render_explanation_text",
-    "set_event_log",
-    "use_event_log",
 ]
 
 

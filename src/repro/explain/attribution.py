@@ -34,6 +34,7 @@ import numpy as np
 from ..core import GlobalAttribute, Problem, Solution, Universe
 from ..matching.operator import MatchOperator
 from ..quality.overall import Objective
+from ..run_context import run_scope
 from ..similarity.matrix import NameSimilarityMatrix
 from .events import (
     AttrKey,
@@ -41,7 +42,6 @@ from .events import (
     EventLog,
     PairMerged,
     attr_key,
-    use_event_log,
 )
 
 
@@ -254,7 +254,7 @@ def explain_solution(
     # solution's schema.
     replay_log = EventLog(capacity=capacity)
     replay_operator = MatchOperator.for_problem(problem, similarity=matrix)
-    with use_event_log(replay_log):
+    with run_scope(events=replay_log):
         replay_operator.match(solution.selected)
     match_events = tuple(replay_log.events())
     merges = [e for e in match_events if isinstance(e, PairMerged)]

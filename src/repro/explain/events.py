@@ -11,12 +11,13 @@ Algorithm 1's seeds, merges, deferrals and eliminations
 
 The design mirrors telemetry exactly:
 
-* the process-wide default (:data:`NOOP_EVENTS`) discards everything in
-  a couple of trivial calls, so library code can emit unconditionally —
-  every emission site guards with ``log.enabled`` so the disabled cost
-  is one module-global lookup and one attribute check;
-* a live :class:`EventLog` is installed for a scope with
-  :func:`use_event_log`;
+* the default (:data:`NOOP_EVENTS`) discards everything in a couple of
+  trivial calls, so library code can emit unconditionally — every
+  emission site guards with ``log.enabled`` so the disabled cost is one
+  run-context read and one attribute check;
+* a live :class:`EventLog` is installed for a block with
+  ``run_scope(events=log)`` (:mod:`repro.run_context`), so it only
+  hears the thread that installed it;
 * events are kept in a *ring buffer* (oldest dropped first), so a long
   solve with millions of move evaluations stays bounded in memory while
   the decisions that shaped the *final* answer survive;
@@ -29,9 +30,10 @@ The design mirrors telemetry exactly:
 from __future__ import annotations
 
 from collections import deque
-from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from typing import Any, ClassVar
+
+from ..run_context import current_run
 
 #: Compact attribute identity carried by events: ``(source_id, index,
 #: name)``.  The ``(source_id, index)`` prefix is the stable key used to
@@ -318,33 +320,11 @@ class NoopEventLog:
         return "NoopEventLog()"
 
 
-#: Shared no-op instance installed as the process default.
+#: Shared no-op instance, what :func:`get_event_log` returns by default.
 NOOP_EVENTS = NoopEventLog()
-
-# A plain module global, exactly like repro.telemetry.runtime: the solve
-# pipeline is single-threaded by design, and a global keeps the disabled
-# lookup as cheap as possible on hot paths.
-_current: EventLog | NoopEventLog = NOOP_EVENTS
 
 
 def get_event_log() -> EventLog | NoopEventLog:
-    """The active event log (the shared no-op unless one is installed)."""
-    return _current
-
-
-def set_event_log(log: EventLog | NoopEventLog | None) -> None:
-    """Install an event log process-wide (None restores the no-op)."""
-    global _current
-    _current = log if log is not None else NOOP_EVENTS
-
-
-@contextmanager
-def use_event_log(log: EventLog | NoopEventLog):
-    """Install an event log for the duration of a ``with`` block."""
-    global _current
-    previous = _current
-    _current = log
-    try:
-        yield log
-    finally:
-        _current = previous
+    """The active event log (the shared no-op outside an events scope)."""
+    log = current_run().events
+    return NOOP_EVENTS if log is None else log

@@ -12,7 +12,6 @@ from .base import (
     random_selection,
     required_ids,
     score_candidates,
-    stop_check_scope,
 )
 from .exhaustive import ExhaustiveSearch
 from .greedy_select import GreedySelector
@@ -167,6 +166,5 @@ __all__ = [
     "resolve_portfolio",
     "score_candidates",
     "seeded_restarts",
-    "stop_check_scope",
     "write_checkpoint",
 ]

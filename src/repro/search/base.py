@@ -10,11 +10,9 @@ NULL result) is handled through the objective's discounted score.
 
 from __future__ import annotations
 
-import threading
 import time
 from abc import ABC, abstractmethod
-from collections.abc import Callable, Iterator, Sequence
-from contextlib import contextmanager
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any
 
@@ -23,114 +21,11 @@ import numpy as np
 from ..core import Solution, worst_solution
 from ..exceptions import SearchError
 from ..quality.overall import Objective
+from ..run_context import current_run
 from ..telemetry import get_profiler, get_telemetry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from .parallel import PortfolioStats
-
-
-#: **Thread-local** cooperative hook storage.  The stop check is consulted
-#: by every :class:`RunClock`; the progress hook by
-#: :func:`score_candidates`.  Both default to ``None`` — plain solves
-#: never pay for them and stay bit-identical.  The storage is thread-local
-#: rather than a plain module global so that a resident multi-tenant
-#: service (``repro.serve``) can run solves on concurrent threads without
-#: crosstalk: an in-process portfolio installing its early-stop flag on
-#: one request thread must not truncate a sequential solve running on
-#: another.  Pool worker processes are unaffected — their initializer and
-#: their tasks both run on the worker's main thread, so an install in the
-#: initializer is visible exactly where it always was.
-_hooks = threading.local()
-
-
-def current_stop_check() -> Callable[[], bool] | None:
-    """The calling thread's installed stop check, or ``None``."""
-    return getattr(_hooks, "stop_check", None)
-
-
-def current_progress_hook() -> (
-    Callable[[Sequence[Solution]], None] | None
-):
-    """The calling thread's installed progress hook, or ``None``."""
-    return getattr(_hooks, "progress_hook", None)
-
-
-def install_stop_check(check: Callable[[], bool] | None):
-    """Install (or clear, with ``None``) the cooperative stop signal.
-
-    Returns the previously installed check so nested scopes can restore
-    it.  Optimizers observe the signal at their next ``clock.expired()``
-    call — iteration granularity, which is why losing the signal can only
-    cost runtime, never correctness.  The installation is **per thread**
-    (see :data:`_hooks`).
-    """
-    previous = current_stop_check()
-    _hooks.stop_check = check
-    return previous
-
-
-def clear_stop_check() -> None:
-    """Remove any installed cooperative stop signal."""
-    install_stop_check(None)
-
-
-@contextmanager
-def stop_check_scope(
-    check: Callable[[], bool] | None,
-) -> Iterator[Callable[[], bool] | None]:
-    """Install a cooperative stop check for the duration of a block.
-
-    The previous check is restored on exit *no matter how the block
-    ends* — this is the only sanctioned way to install a stop check
-    around in-process work.  A check left behind by an exception would
-    silently truncate every later solve in the process (the leak class
-    this guards against), because :meth:`RunClock.expired` consults the
-    global on every optimizer iteration.
-    """
-    previous = install_stop_check(check)
-    try:
-        yield previous
-    finally:
-        install_stop_check(previous)
-
-
-def install_progress_hook(
-    hook: Callable[[Sequence[Solution]], None] | None,
-):
-    """Install (or clear, with ``None``) the candidate-batch progress hook.
-
-    Returns the previously installed hook so nested scopes can restore
-    it.  The hook is called by :func:`score_candidates` with each scored
-    batch — every optimizer routes its neighborhoods through there, so no
-    optimizer loop needs to know heartbeats exist.  Hook exceptions are
-    swallowed at the call site: observation must never sink a solve.
-    The installation is **per thread** (see :data:`_hooks`).
-    """
-    previous = current_progress_hook()
-    _hooks.progress_hook = hook
-    return previous
-
-
-def clear_progress_hook() -> None:
-    """Remove any installed progress hook."""
-    install_progress_hook(None)
-
-
-@contextmanager
-def progress_hook_scope(
-    hook: Callable[[Sequence[Solution]], None] | None,
-) -> Iterator[Callable[[Sequence[Solution]], None] | None]:
-    """Install a progress hook for the duration of a block.
-
-    Mirrors :func:`stop_check_scope`: the previous hook is restored no
-    matter how the block ends, so a crashing worker attempt cannot leak
-    its emitter into later solves in the same process.
-    """
-    previous = install_progress_hook(hook)
-    try:
-        yield previous
-    finally:
-        install_progress_hook(previous)
 
 
 @dataclass(frozen=True, slots=True)
@@ -324,12 +219,13 @@ class RunClock:
     def expired(self) -> bool:
         """True iff the time budget is spent or a sibling signalled stop.
 
-        The cooperative stop check (see :func:`install_stop_check`) is
-        folded in here because every optimizer already consults its clock
-        once per iteration — portfolio early-stop therefore needs no
-        changes to any optimizer's loop.
+        The run context's cooperative stop check
+        (:attr:`~repro.run_context.RunContext.stop_check`) is folded in
+        here because every optimizer already consults its clock once per
+        iteration — portfolio early-stop therefore needs no changes to
+        any optimizer's loop.
         """
-        check = current_stop_check()
+        check = current_run().stop_check
         if check is not None and check():
             return True
         return self._limit is not None and self.elapsed() >= self._limit
@@ -409,7 +305,9 @@ def score_candidates(
     objective without a batch API (a test double, a bare callable) has
     each candidate scored by the scalar evaluator.  Both paths return
     bit-identical solutions, so an optimizer's trajectory does not depend
-    on which one ran.
+    on which one ran.  Each scored batch is handed to the run context's
+    progress hook, if any — every optimizer routes its neighborhoods
+    through here, so no optimizer loop needs to know heartbeats exist.
     """
     selections = list(selections)
     evaluate_batch = getattr(objective, "evaluate_batch", None)
@@ -419,7 +317,7 @@ def score_candidates(
         solutions = [
             objective.evaluate(selection) for selection in selections
         ]
-    hook = current_progress_hook()
+    hook = current_run().progress_hook
     if hook is not None:
         try:
             hook(solutions)

@@ -34,9 +34,9 @@ Design points:
 
 * **Early stop is advisory.**  A worker whose solution reaches
   ``stop_quality`` sets a shared event; siblings observe it at their next
-  ``clock.expired()`` check (see
-  :func:`~repro.search.base.install_stop_check`).  Losing the signal only
-  costs runtime, never correctness.
+  ``clock.expired()`` check (the run context's ``stop_check``, see
+  :mod:`repro.run_context`).  Losing the signal only costs runtime,
+  never correctness.
 
 * **Failure is survivable — and recoverable.**  A crashing worker is
   logged into its :class:`WorkerOutcome` and counted in
@@ -72,7 +72,6 @@ import threading
 import time
 from collections import deque
 from collections.abc import Iterable, Mapping, Sequence
-from contextlib import contextmanager
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeout
 from concurrent.futures.process import BrokenProcessPool
@@ -81,16 +80,16 @@ from dataclasses import dataclass, replace
 from ..core import Problem
 from ..exceptions import SearchError
 from ..quality.overall import Objective
+from ..run_context import run_scope
 from ..similarity.matrix import NameSimilarityMatrix
 from ..telemetry import (
+    NOOP,
+    NOOP_PROFILER,
     InMemoryExporter,
     PhaseProfiler,
     Telemetry,
     get_profiler,
     get_telemetry,
-    set_profiler,
-    set_telemetry,
-    use_profiler,
 )
 from ..telemetry.observatory.heartbeat import (
     DEFAULT_HEARTBEAT_INTERVAL,
@@ -99,14 +98,7 @@ from ..telemetry.observatory.heartbeat import (
     queue_sink,
 )
 from ..telemetry.observatory.status import RunStatus
-from .base import (
-    OptimizerConfig,
-    SearchResult,
-    SearchStats,
-    install_stop_check,
-    progress_hook_scope,
-    stop_check_scope,
-)
+from .base import OptimizerConfig, SearchResult, SearchStats
 from .resilience import (
     Checkpoint,
     ResilienceConfig,
@@ -594,25 +586,21 @@ _WORKER_HEARTBEATS = None
 def _worker_init(
     context: WorkerContext, stop_event, started=None, heartbeats=None
 ) -> None:
-    """Pool initializer: receive the shared context, neutralize inherited state.
+    """Pool initializer: receive the shared context and the shared signals.
 
-    Under ``fork`` the child starts as a byte-for-byte copy of the parent,
-    including any installed tracer with open file handles — so the first
-    thing a worker does is reset the process-global telemetry and event
-    log to their no-ops.  The shared early-stop event (picklable only
-    through ``initargs``, never through the task queue) becomes this
-    process's cooperative stop check.  ``started`` is the pool's shared
-    execution ledger (see :func:`_run_worker`): one slot per portfolio
-    worker, marked the moment an attempt actually begins executing, so
-    the parent can tell a hung worker from one that never left the
-    queue.  ``heartbeats`` is the engine's bounded heartbeat queue (see
-    :mod:`repro.telemetry.observatory.heartbeat`), present only on
-    observed solves; each :func:`_run_worker` attempt installs a scoped
-    emitter over it.  The check stays installed for the
-    process's whole life *by design*: a pool worker process only ever
-    runs :func:`_run_worker` tasks, so there is no later in-process solve
-    to leak into (in-process code must use
-    :func:`~repro.search.base.stop_check_scope` instead).
+    The shared early-stop event (picklable only through ``initargs``,
+    never through the task queue) is what each :func:`_run_worker` task
+    installs as its cooperative stop check.  ``started`` is the pool's
+    shared execution ledger (see :func:`_run_worker`): one slot per
+    portfolio worker, marked the moment an attempt actually begins
+    executing, so the parent can tell a hung worker from one that never
+    left the queue.  ``heartbeats`` is the engine's bounded heartbeat
+    queue (see :mod:`repro.telemetry.observatory.heartbeat`), present
+    only on observed solves; each :func:`_run_worker` attempt installs a
+    scoped emitter over it.  Under ``fork`` the child starts with a copy
+    of the forking thread's run context (tracer with open file handles
+    included); every task runs under a scope naming all its fields, so
+    none of that is visible to the work.
     """
     global _WORKER_CONTEXT, _WORKER_STOP, _WORKER_STARTED
     global _WORKER_HEARTBEATS
@@ -624,13 +612,6 @@ def _worker_init(
     _WORKER_STOP = stop_event
     _WORKER_STARTED = started
     _WORKER_HEARTBEATS = heartbeats
-    set_telemetry(None)
-    set_profiler(None)
-    from ..explain.events import set_event_log
-
-    set_event_log(None)
-    if stop_event is not None:
-        install_stop_check(stop_event.is_set)
 
 
 def _execute_spec(context: WorkerContext, spec: WorkerSpec) -> SearchResult:
@@ -650,29 +631,6 @@ def _execute_spec(context: WorkerContext, spec: WorkerSpec) -> SearchResult:
         initial=initial,
         **dict(spec.params),
     )
-
-
-@contextmanager
-def _profiler_scope(context: WorkerContext):
-    """A worker-local :class:`PhaseProfiler` when the parent profiles.
-
-    No-op unless the context asks for profiling.  The profiler records
-    into whatever telemetry is current (the worker's own tracer inside
-    :func:`_run_worker`), and its close — still inside the scope, before
-    the metrics snapshot is taken — flushes the worker's cache totals so
-    they ride the ordinary ``payload["metrics"]`` → ``merge_snapshot``
-    path home.
-    """
-    if not context.profile:
-        yield
-        return
-    profiler = PhaseProfiler(memory=context.profile_memory)
-    profiler.start()
-    try:
-        with use_profiler(profiler):
-            yield
-    finally:
-        profiler.close()
 
 
 def _hit_quality_bound(result: SearchResult, bound: float | None) -> bool:
@@ -704,10 +662,18 @@ def _run_worker(index: int, spec: WorkerSpec, attempt: int = 0) -> dict:
                 _WORKER_STARTED[index] = attempt + 1
     exporter = InMemoryExporter()
     telemetry = (
-        Telemetry(exporters=[exporter]) if context.collect_telemetry else None
+        Telemetry(exporters=[exporter]) if context.collect_telemetry else NOOP
     )
-    if telemetry is not None:
-        set_telemetry(telemetry)
+    # A worker-local profiler when the parent profiles: it records into
+    # the worker's tracer, and its close — still inside the scope, before
+    # the metrics snapshot is taken — flushes the worker's cache totals
+    # so they ride the ordinary ``payload["metrics"]`` →
+    # ``merge_snapshot`` path home.
+    profiler = (
+        PhaseProfiler(memory=context.profile_memory)
+        if context.profile
+        else NOOP_PROFILER
+    )
     emitter = (
         HeartbeatEmitter(
             queue_sink(_WORKER_HEARTBEATS),
@@ -718,22 +684,23 @@ def _run_worker(index: int, spec: WorkerSpec, attempt: int = 0) -> dict:
         if _WORKER_HEARTBEATS is not None
         else None
     )
+    stop_check = _WORKER_STOP.is_set if _WORKER_STOP is not None else None
     try:
-        with _profiler_scope(context):
-            if emitter is not None:
-                with progress_hook_scope(emitter):
-                    result = _execute_spec(context, spec)
-            else:
-                result = _execute_spec(context, spec)
+        with run_scope(
+            telemetry=telemetry,
+            profiler=profiler,
+            events=None,
+            stop_check=stop_check,
+            progress_hook=emitter,
+        ), profiler:
+            result = _execute_spec(context, spec)
     except Exception as exc:  # noqa: BLE001 - shipped home as the outcome
         return {"index": index, "error": f"{type(exc).__name__}: {exc}"}
     finally:
         if emitter is not None:
             emitter.close()
-        if telemetry is not None:
-            set_telemetry(None)
     payload: dict = {"index": index, "result": result}
-    if telemetry is not None:
+    if context.collect_telemetry:
         payload["spans"] = tuple(exporter.spans)
         payload["metrics"] = telemetry.metrics.snapshot()
     if _WORKER_STOP is not None and _hit_quality_bound(
@@ -1279,16 +1246,13 @@ class ParallelSolveEngine:
         worker, same early-stop bound, same retry/timeout accounting —
         minus the process boundary, so ``jobs=1`` results match
         ``jobs=N`` results exactly.  Telemetry needs no folding: workers
-        trace straight into the live tracer.  The cooperative stop check
-        is installed through :func:`~repro.search.base.stop_check_scope`,
-        so it can never leak past this solve, raised exceptions included.
+        trace straight into the live tracer.  Each attempt installs the
+        cooperative stop check through its own run scope (see
+        :meth:`_run_attempts_inline`), so it can never leak past this
+        solve, raised exceptions included.
         """
         flag = _LocalStopFlag()
-        if self.stop_quality is not None:
-            with stop_check_scope(flag.is_set):
-                self._run_inline_batch(run, run.pending_items(), flag)
-        else:
-            self._run_inline_batch(run, run.pending_items(), flag)
+        self._run_inline_batch(run, run.pending_items(), flag)
         return flag.is_set()
 
     def _run_inline_batch(
@@ -1321,8 +1285,15 @@ class ParallelSolveEngine:
         that *returns* after overrunning the budget is discarded and
         recorded as timed out — keeping inline outcomes consistent with
         what the pool path would have recorded for the same schedule.
+        Each attempt runs under a run scope that inherits the live
+        tracer, profiler and event log and names its own stop check (the
+        shared flag, when an early-stop bound is set) and heartbeat
+        emitter.
         """
         policy = self.resilience.retry
+        stop_check = (
+            stop_flag.is_set if self.stop_quality is not None else None
+        )
         timeout = self.resilience.worker_timeout
         attempt = start_attempt
         while True:
@@ -1351,10 +1322,7 @@ class ParallelSolveEngine:
                     interval=self.heartbeat_interval,
                 )
             try:
-                if emitter is not None:
-                    with progress_hook_scope(emitter):
-                        result = _execute_spec(run.context, live)
-                else:
+                with run_scope(stop_check=stop_check, progress_hook=emitter):
                     result = _execute_spec(run.context, live)
             except SystemExit as exc:
                 error = f"SystemExit: {exc.code}"
@@ -1544,7 +1512,16 @@ class ParallelSolveEngine:
             if drain is not None:
                 drain.close()
         if leftovers:
-            self._finish_inline_fallback(run, leftovers, stop_event)
+            # Degrade gracefully: the pool broke more times than the
+            # rebuild budget allows, so its leftovers run in-process.
+            # The shared early-stop event keeps working as each
+            # attempt's stop check.
+            self._run_inline_batch(
+                run,
+                [(index, spec) for index, spec, _ in leftovers],
+                stop_event if stop_event is not None else _LocalStopFlag(),
+                {index: attempt for index, _, attempt in leftovers},
+            )
         return stop_event.is_set() if stop_event is not None else False
 
     def _collect_round(
@@ -1656,29 +1633,6 @@ class ParallelSolveEngine:
             run.finish(
                 self._failure(index, spec, error, attempts=attempt + 1)
             )
-
-    def _finish_inline_fallback(
-        self,
-        run: _PortfolioRun,
-        leftovers: list[tuple[int, WorkerSpec, int]],
-        stop_event,
-    ) -> None:
-        """Degrade gracefully: run the pool's leftovers in-process.
-
-        Reached only when the process pool broke more times than the
-        rebuild budget allows.  The shared early-stop event keeps
-        working: it becomes this process's cooperative stop check for
-        the duration (scoped, so nothing leaks), and in-process workers
-        that hit the bound still signal it.
-        """
-        flag = stop_event if stop_event is not None else _LocalStopFlag()
-        items = [(index, spec) for index, spec, _ in leftovers]
-        start_attempts = {index: attempt for index, _, attempt in leftovers}
-        if stop_event is not None:
-            with stop_check_scope(stop_event.is_set):
-                self._run_inline_batch(run, items, flag, start_attempts)
-        else:
-            self._run_inline_batch(run, items, flag, start_attempts)
 
     def _new_pool(
         self, mp_context, run: _PortfolioRun, stop_event,

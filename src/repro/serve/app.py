@@ -8,14 +8,15 @@ to.  The actual server is a thin :class:`ThreadingHTTPServer` shim that
 parses the request line, hands off to ``dispatch``, and writes JSON
 back; stdlib only, per the no-new-hard-dependency rule.
 
-Concurrency model, in one paragraph: every request thread shares the
-app's single :class:`~repro.telemetry.Telemetry` (installed
-process-wide for the service's lifetime, so the
-``use_telemetry(...)``-swap inside ``Session.solve`` is always an
-identity exchange and can never drop another thread's counters).
-Sessions serialize their own mutate/solve calls behind their internal
-``RLock``; *distinct* sessions run truly concurrently against the
-shared read-only compiled artifacts.  Async jobs go through
+Concurrency model, in one paragraph: every request, and the job runner
+thread, runs under ``run_scope(telemetry=app.telemetry, profiler=...)``
+(:mod:`repro.run_context`), so all of them record into the app's single
+:class:`~repro.telemetry.Telemetry` while nothing is installed
+process-wide — two apps in one process, or library code on other
+threads, never see each other's tracer.  Sessions serialize their own
+mutate/solve calls behind their internal ``RLock``; *distinct* sessions
+run truly concurrently against the shared read-only compiled artifacts.
+Async jobs go through
 :class:`~repro.serve.state.JobManager`'s single runner thread, which
 serializes access to the multiprocess pool.
 """
@@ -30,15 +31,8 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import urlparse
 
 from ..exceptions import ReproError
-from ..telemetry import (
-    NOOP_PROFILER,
-    PhaseProfiler,
-    Telemetry,
-    get_profiler,
-    get_telemetry,
-    set_profiler,
-    set_telemetry,
-)
+from ..run_context import run_scope
+from ..telemetry import PhaseProfiler, Telemetry
 from .state import (
     Job,
     JobManager,
@@ -131,10 +125,10 @@ class ServeApp:
     """The resident service: universes + sessions + jobs behind one API.
 
     Use as a context manager (or call :meth:`start`/:meth:`close`):
-    entering installs the app's telemetry (and, when the profiler tier
-    is present, a phase profiler) process-wide and starts the job
-    runner; exiting restores whatever was installed before, so tests
-    can stand up and tear down apps without leaking global state.
+    entering starts a phase profiler (when the profiler tier is present)
+    and the job runner; exiting stops both.  The app's telemetry and
+    profiler are scoped to its own requests and job runner, never
+    installed process-wide.
     """
 
     def __init__(
@@ -162,34 +156,30 @@ class ServeApp:
         self.default_jobs = default_jobs
         self.profile = profile and self.tiers.get("profiler", False)
         self.started_at = time.time()
-        self._prev_telemetry = None
-        self._prev_profiler = None
         self._profiler: PhaseProfiler | None = None
 
     # -- lifecycle ------------------------------------------------------------
 
     def start(self) -> "ServeApp":
-        """Install global telemetry/profiler and start the job runner."""
-        self._prev_telemetry = get_telemetry()
-        set_telemetry(self.telemetry)
+        """Start the profiler and the job runner (which runs in scope)."""
         if self.profile:
-            self._prev_profiler = get_profiler()
             self._profiler = PhaseProfiler()
             self._profiler.start()
-            set_profiler(self._profiler)
-        self.jobs.start()
+        with self._scope():
+            self.jobs.start()
         return self
 
     def close(self) -> None:
-        """Stop the job runner and restore pre-service global state."""
+        """Stop the job runner and flush the profiler's cache totals."""
         self.jobs.close()
         if self._profiler is not None:
-            set_profiler(self._prev_profiler or NOOP_PROFILER)
-            self._profiler.close()
+            with self._scope():
+                self._profiler.close()
             self._profiler = None
-        if self._prev_telemetry is not None:
-            set_telemetry(self._prev_telemetry)
-            self._prev_telemetry = None
+
+    def _scope(self):
+        """The run scope every request and job of this app runs under."""
+        return run_scope(telemetry=self.telemetry, profiler=self._profiler)
 
     def __enter__(self) -> "ServeApp":
         return self.start()
@@ -209,38 +199,39 @@ class ServeApp:
         their HTTP statuses with a structured error body; anything else
         is a 500 and bumps ``serve.errors``.
         """
-        metrics = self.telemetry.metrics
-        metrics.counter("serve.requests").inc()
-        started = time.perf_counter()
-        try:
-            with self.telemetry.span(
-                "serve.request", method=method, path=path
-            ):
-                status, payload = self._route(method, path, body or {})
-        except ServeError as exc:
-            metrics.counter("serve.refused").inc()
-            return exc.status, exc.payload()
-        except ReproError as exc:
-            metrics.counter("serve.refused").inc()
-            return 422, {
-                "error": {
-                    "code": type(exc).__name__,
-                    "message": str(exc),
+        with self._scope():
+            metrics = self.telemetry.metrics
+            metrics.counter("serve.requests").inc()
+            started = time.perf_counter()
+            try:
+                with self.telemetry.span(
+                    "serve.request", method=method, path=path
+                ):
+                    status, payload = self._route(method, path, body or {})
+            except ServeError as exc:
+                metrics.counter("serve.refused").inc()
+                return exc.status, exc.payload()
+            except ReproError as exc:
+                metrics.counter("serve.refused").inc()
+                return 422, {
+                    "error": {
+                        "code": type(exc).__name__,
+                        "message": str(exc),
+                    }
                 }
-            }
-        except Exception as exc:  # noqa: BLE001 - a 500 must not kill the thread
-            metrics.counter("serve.errors").inc()
-            return 500, {
-                "error": {
-                    "code": "internal_error",
-                    "message": f"{type(exc).__name__}: {exc}",
+            except Exception as exc:  # noqa: BLE001 - a 500 must not kill the thread
+                metrics.counter("serve.errors").inc()
+                return 500, {
+                    "error": {
+                        "code": "internal_error",
+                        "message": f"{type(exc).__name__}: {exc}",
+                    }
                 }
-            }
-        finally:
-            metrics.histogram("serve.request_seconds").observe(
-                time.perf_counter() - started
-            )
-        return status, payload
+            finally:
+                metrics.histogram("serve.request_seconds").observe(
+                    time.perf_counter() - started
+                )
+            return status, payload
 
     def _route(
         self, method: str, path: str, body: Mapping

@@ -38,6 +38,7 @@ transport over these classes, and tests drive them directly.
 
 from __future__ import annotations
 
+import contextvars
 import importlib
 import json
 import queue
@@ -492,11 +493,19 @@ class JobManager:
     # -- lifecycle ------------------------------------------------------------
 
     def start(self) -> None:
-        """Start the runner thread (idempotent)."""
+        """Start the runner thread (idempotent).
+
+        The thread runs in a copy of the caller's run context
+        (:mod:`repro.run_context`), so jobs record into the tracer and
+        profiler the starting code had in scope.
+        """
         if self._thread is not None and self._thread.is_alive():
             return
         self._thread = threading.Thread(
-            target=self._run_loop, name="mube-serve-jobs", daemon=True
+            target=contextvars.copy_context().run,
+            args=(self._run_loop,),
+            name="mube-serve-jobs",
+            daemon=True,
         )
         self._thread.start()
 

@@ -39,10 +39,11 @@ from ..core import (
 )
 from ..exceptions import ConstraintError, ReproError, WeightError
 from ..quality.overall import Objective
+from ..run_context import run_scope
 from ..search import OptimizerConfig, SearchResult, get_optimizer
 from ..similarity.matrix import NameSimilarityMatrix
 from ..similarity.measures import SimilarityMeasure, default_measure
-from ..telemetry import NoopTelemetry, Telemetry, get_telemetry, use_telemetry
+from ..telemetry import NoopTelemetry, Telemetry, get_telemetry
 from .delta import STOCK_QEFS, DeltaPlan, EditJournal, plan_delta
 
 
@@ -114,8 +115,8 @@ class Session:
     telemetry:
         A :class:`~repro.telemetry.Telemetry` to install for the duration
         of every :meth:`solve` (and the similarity-matrix build).  When
-        omitted, whatever tracer is currently installed process-wide is
-        used — the no-op by default.
+        omitted, whatever tracer the caller's run context holds is used
+        — the no-op by default.
     record_runs:
         Append a durable run record to the run registry after every
         :meth:`solve` (the default).  The registry location comes from
@@ -213,7 +214,7 @@ class Session:
         if similarity_matrix is not None:
             self._matrix = similarity_matrix
         else:
-            with use_telemetry(self._telemetry()):
+            with run_scope(telemetry=self._telemetry()):
                 self._matrix = NameSimilarityMatrix.build(
                     universe.attribute_names(), self._measure
                 )
@@ -322,7 +323,7 @@ class Session:
         inspect it with ``mube runs`` / ``mube runs show``.
         """
         from ..explain.attribution import change_notes, explain_solution
-        from ..explain.events import EventLog, NOOP_EVENTS, use_event_log
+        from ..explain.events import EventLog, NOOP_EVENTS
 
         use_portfolio = (
             jobs is not None
@@ -346,9 +347,7 @@ class Session:
             if explain
             else NOOP_EVENTS
         )
-        with use_telemetry(telemetry), use_event_log(
-            event_log
-        ), telemetry.span(
+        with run_scope(telemetry=telemetry, events=event_log), telemetry.span(
             "session.solve",
             iteration=len(self.history),
             constraints=len(self.source_constraints),
@@ -435,7 +434,7 @@ class Session:
 
         from ..explain.attribution import change_notes, explain_solution
 
-        with use_telemetry(self._telemetry()):
+        with run_scope(telemetry=self._telemetry()):
             explanation = explain_solution(
                 iteration.problem,
                 iteration.solution,
@@ -741,7 +740,7 @@ class Session:
     # -- internals ---------------------------------------------------------
 
     def _telemetry(self) -> Telemetry | NoopTelemetry:
-        """The session's own tracer, or the process-wide current one."""
+        """The session's own tracer, or the run context's current one."""
         return self.telemetry if self.telemetry is not None else get_telemetry()
 
     def _solve_portfolio(

@@ -4,8 +4,9 @@ The measurement substrate for every perf/scaling change: a span-based
 tracer (:class:`Telemetry`), a metrics registry (counters, gauges,
 histograms), and pluggable exporters.  The default is a true no-op
 (:data:`NOOP`) whose overhead is negligible, so every layer of the
-pipeline instruments unconditionally.  See docs/observability.md for the
-span taxonomy and exporter formats.
+pipeline instruments unconditionally; a live tracer or profiler is
+installed for a block with :func:`~repro.run_context.run_scope`.  See
+docs/observability.md for the span taxonomy and exporter formats.
 """
 
 from .chrome_trace import spans_to_chrome, trace_to_chrome, write_chrome_trace
@@ -31,10 +32,7 @@ from .profiler import (
     get_profiler,
     phase_profile,
     render_phase_report,
-    set_profiler,
-    use_profiler,
 )
-from .runtime import get_telemetry, set_telemetry, use_telemetry
 from .trace_report import (
     Trace,
     TraceSpan,
@@ -44,7 +42,13 @@ from .trace_report import (
     render_trace_report,
     time_by_name,
 )
-from .tracer import NOOP, NoopTelemetry, SpanRecord, Telemetry
+from .tracer import (
+    NOOP,
+    NoopTelemetry,
+    SpanRecord,
+    Telemetry,
+    get_telemetry,
+)
 
 __all__ = [
     "Counter",
@@ -79,12 +83,8 @@ __all__ = [
     "render_time_table",
     "render_trace_report",
     "run_profile",
-    "set_profiler",
-    "set_telemetry",
     "spans_to_chrome",
     "time_by_name",
     "trace_to_chrome",
-    "use_profiler",
-    "use_telemetry",
     "write_chrome_trace",
 ]

@@ -21,9 +21,9 @@ import math
 from dataclasses import dataclass, field
 from typing import Any
 
+from ..run_context import run_scope
 from .exporters import InMemoryExporter
-from .profiler import PhaseProfiler, phase_profile, use_profiler
-from .runtime import use_telemetry
+from .profiler import PhaseProfiler, phase_profile
 from .tracer import Telemetry
 
 #: Schema marker for PROFILE_*.json documents.
@@ -130,7 +130,7 @@ def measure_scale(config: ProfileConfig, scale: int) -> ScaleRun:
     spec = CharacteristicSpec("mttf", "mttf")
     telemetry = Telemetry(exporters=[InMemoryExporter()])
     profiler = PhaseProfiler(memory=config.memory)
-    with use_telemetry(telemetry), use_profiler(profiler), profiler:
+    with run_scope(telemetry=telemetry, profiler=profiler), profiler:
         session = Session(
             workload.universe,
             max_sources=min(config.choose, scale),

@@ -3,10 +3,10 @@
 A portfolio solve used to be a black box while it ran: per-worker
 progress only existed *after* a worker finished, timed out or crashed.
 This module gives workers a voice mid-search.  A
-:class:`HeartbeatEmitter` is installed as the process's progress hook
-(:func:`~repro.search.base.install_progress_hook` — the sibling of the
-cooperative ``install_stop_check`` mechanism) for the duration of one
-worker attempt; every candidate batch the optimizer scores ticks the
+:class:`HeartbeatEmitter` is installed as the run context's
+``progress_hook`` (:mod:`repro.run_context` — the sibling of the
+cooperative ``stop_check``) for the duration of one worker attempt;
+every candidate batch the optimizer scores ticks the
 emitter, which throttles on wall-clock and pushes a small frozen
 :class:`Heartbeat` record into a sink.
 
@@ -116,7 +116,7 @@ def queue_sink(channel) -> Callable[[Heartbeat], None]:
 class HeartbeatEmitter:
     """Progress hook for one worker attempt: fold batches, emit throttled.
 
-    Installed via :func:`~repro.search.base.progress_hook_scope` around
+    Installed as ``run_scope(progress_hook=...)`` around
     :func:`~repro.search.parallel._execute_spec`.  Called with each
     scored candidate batch, it tracks the running ``(objective,
     feasible)`` best and the batch count, and emits at most one

@@ -11,8 +11,11 @@ stacking, search, merge) are wrapped at their definition sites with::
 
 The default profiler is :data:`NOOP_PROFILER`: ``phase()`` returns a
 shared do-nothing context manager, so instrumentation left in place
-costs one module-global read plus two trivial calls — the same
-zero-default-overhead contract the tracer holds.
+costs one run-context read plus two trivial calls — the same
+zero-default-overhead contract the tracer holds.  A real profiler is
+installed for a block with ``run_scope(profiler=...)``
+(:mod:`repro.run_context`), so it belongs to the thread that installed
+it, like the tracer it records into.
 
 An enabled profiler records each phase close into the *active
 telemetry's* histograms under ``profile.phase.<name>.<metric>``.  Riding
@@ -39,7 +42,7 @@ outermost phase closes) into a hit-ratio-over-time series, and flushes
 the final hit/miss/eviction totals into ``profile.cache.*`` counters on
 :meth:`PhaseProfiler.close` so they, too, merge across workers.  A probe
 that is a bound method is held weakly, so a long-lived profiler (the one
-``mube serve`` installs) never keeps a deleted session's objects alive;
+``mube serve`` scopes around every request) never keeps a deleted session's objects alive;
 when its owner is collected, the probe's last sampled stats are folded
 into the totals.  The probe registry is guarded by a lock and iterated
 as a snapshot, so sessions on other threads may register probes while a
@@ -53,10 +56,10 @@ import threading
 import time
 import tracemalloc
 import weakref
-from contextlib import contextmanager
 from typing import Any, Callable
 
-from .runtime import get_telemetry
+from ..run_context import current_run
+from .tracer import get_telemetry
 
 #: Histogram-name prefix for per-phase cost metrics.
 PHASE_METRIC_PREFIX = "profile.phase."
@@ -384,35 +387,14 @@ class NoopPhaseProfiler:
         return "NoopPhaseProfiler()"
 
 
-#: Shared no-op instance installed as the process default.
+#: Shared no-op instance, what :func:`get_profiler` returns by default.
 NOOP_PROFILER = NoopPhaseProfiler()
-
-_current: PhaseProfiler | NoopPhaseProfiler = NOOP_PROFILER
 
 
 def get_profiler() -> PhaseProfiler | NoopPhaseProfiler:
-    """The active profiler (the shared no-op unless one is installed)."""
-    return _current
-
-
-def set_profiler(
-    profiler: PhaseProfiler | NoopPhaseProfiler | None,
-) -> None:
-    """Install a profiler process-wide (None restores the no-op)."""
-    global _current
-    _current = profiler if profiler is not None else NOOP_PROFILER
-
-
-@contextmanager
-def use_profiler(profiler: PhaseProfiler | NoopPhaseProfiler):
-    """Install a profiler for the duration of a ``with`` block."""
-    global _current
-    previous = _current
-    _current = profiler
-    try:
-        yield profiler
-    finally:
-        _current = previous
+    """The active profiler (the shared no-op outside a profiler scope)."""
+    profiler = current_run().profiler
+    return NOOP_PROFILER if profiler is None else profiler
 
 
 def _fold(

@@ -1,6 +1,6 @@
 """Span-based tracing for the solve pipeline.
 
-A :class:`Telemetry` instance owns a stack of open spans, a
+A :class:`Telemetry` instance owns one stack of open spans per thread, a
 :class:`~repro.telemetry.metrics.MetricsRegistry`, and a list of exporters.
 Spans nest naturally through ``with`` blocks::
 
@@ -14,17 +14,21 @@ tree).  Durations come from ``time.perf_counter`` and are reported
 relative to the tracer's epoch so traces are readable without epoch
 arithmetic.
 
-:data:`NOOP` is the default telemetry: its spans and metrics discard
-everything, and its per-call overhead is a couple of trivial method
-calls, so library code instruments unconditionally.
+:data:`NOOP` is the default telemetry (what :func:`get_telemetry`
+returns outside a scope): its spans and metrics discard everything, and
+its per-call overhead is a couple of trivial method calls, so library
+code instruments unconditionally.
 """
 
 from __future__ import annotations
 
+import itertools
+import threading
 import time
 from dataclasses import dataclass, field
 from typing import Any
 
+from ..run_context import current_run
 from .metrics import MetricsRegistry, NoopMetrics
 
 
@@ -131,9 +135,13 @@ class Telemetry:
         self.exporters = list(exporters)
         self.metrics = MetricsRegistry()
         self._epoch = time.perf_counter()
-        self._stack: list[_Span] = []
-        self._next_index = 0
-        self._span_durations: dict[str, list[float]] = {}
+        # Open spans nest per thread: concurrent requests sharing one
+        # service tracer must not parent their spans under each other.
+        self._local = threading.local()
+        self._indexes = itertools.count()
+        # Span name -> (count, total seconds); the summary needs no more.
+        self._span_totals: dict[str, tuple[int, float]] = {}
+        self._totals_lock = threading.Lock()
 
     # -- spans ---------------------------------------------------------------
 
@@ -141,22 +149,31 @@ class Telemetry:
         """A context manager recording one named, attributed span."""
         return _Span(self, name, attributes)
 
+    def _stack(self) -> list[_Span]:
+        """The calling thread's open spans, innermost last."""
+        try:
+            return self._local.stack
+        except AttributeError:
+            self._local.stack = []
+            return self._local.stack
+
     def _open(self, span: _Span) -> None:
-        span.index = self._next_index
-        self._next_index += 1
-        if self._stack:
-            parent = self._stack[-1]
+        span.index = next(self._indexes)
+        stack = self._stack()
+        if stack:
+            parent = stack[-1]
             span.parent_index = parent.index
             span.depth = parent.depth + 1
-        self._stack.append(span)
+        stack.append(span)
         span._start = time.perf_counter() - self._epoch
 
     def _close(self, span: _Span) -> None:
         end = time.perf_counter() - self._epoch
-        if self._stack and self._stack[-1] is span:
-            self._stack.pop()
+        stack = self._stack()
+        if stack and stack[-1] is span:
+            stack.pop()
         else:  # pragma: no cover - misuse guard (out-of-order close)
-            self._stack = [s for s in self._stack if s is not span]
+            stack[:] = [s for s in stack if s is not span]
         record = SpanRecord(
             name=span.name,
             index=span.index,
@@ -166,11 +183,16 @@ class Telemetry:
             end=end,
             attributes=span.attributes,
         )
-        self._span_durations.setdefault(span.name, []).append(
-            record.duration
-        )
+        self._add_total(record)
         for exporter in self.exporters:
             exporter.export_span(record)
+
+    def _add_total(self, record: SpanRecord) -> None:
+        with self._totals_lock:
+            count, total = self._span_totals.get(record.name, (0, 0.0))
+            self._span_totals[record.name] = (
+                count + 1, total + record.duration
+            )
 
     def now(self) -> float:
         """Seconds since this tracer's epoch.
@@ -202,16 +224,16 @@ class Telemetry:
             if metrics_snapshot:
                 self.metrics.merge_snapshot(metrics_snapshot)
             return
-        parent_index = self._stack[-1].index if self._stack else None
-        base_depth = self._stack[-1].depth + 1 if self._stack else 0
+        stack = self._stack()
+        parent_index = stack[-1].index if stack else None
+        base_depth = stack[-1].depth + 1 if stack else 0
         # Two passes: assign new indexes in the child's creation order
         # first, so records can be re-emitted in their original
         # completion order (children before parents, the exporter
         # contract) with every parent link already resolvable.
         index_map: dict[int, int] = {}
         for record in sorted(spans, key=lambda r: r.index):
-            index_map[record.index] = self._next_index
-            self._next_index += 1
+            index_map[record.index] = next(self._indexes)
         for record in spans:
             mapped_parent = (
                 index_map[record.parent_index]
@@ -227,9 +249,7 @@ class Telemetry:
                 end=record.end + offset,
                 attributes=dict(record.attributes),
             )
-            self._span_durations.setdefault(merged.name, []).append(
-                merged.duration
-            )
+            self._add_total(merged)
             for exporter in self.exporters:
                 exporter.export_span(merged)
         if metrics_snapshot:
@@ -239,16 +259,16 @@ class Telemetry:
 
     def span_summary(self) -> dict[str, dict[str, float]]:
         """Per-name span aggregates: count and total/mean seconds."""
-        summary = {}
-        for name in sorted(self._span_durations):
-            durations = self._span_durations[name]
-            total = sum(durations)
-            summary[name] = {
-                "count": len(durations),
+        with self._totals_lock:
+            totals = dict(self._span_totals)
+        return {
+            name: {
+                "count": count,
                 "total_seconds": total,
-                "mean_seconds": total / len(durations),
+                "mean_seconds": total / count,
             }
-        return summary
+            for name, (count, total) in sorted(totals.items())
+        }
 
     def close(self) -> None:
         """Flush the metrics snapshot to every exporter and close them."""
@@ -264,9 +284,9 @@ class Telemetry:
         self.close()
 
     def __repr__(self) -> str:
+        spans = sum(count for count, _ in self._span_totals.values())
         return (
-            f"Telemetry(spans={self._next_index}, "
-            f"exporters={len(self.exporters)})"
+            f"Telemetry(spans={spans}, exporters={len(self.exporters)})"
         )
 
 
@@ -304,5 +324,17 @@ class NoopTelemetry:
         return "NoopTelemetry()"
 
 
-#: Shared no-op instance installed as the process default.
+#: Shared no-op instance, what :func:`get_telemetry` returns by default.
 NOOP = NoopTelemetry()
+
+
+def get_telemetry() -> Telemetry | NoopTelemetry:
+    """The active tracer (the shared no-op outside a telemetry scope).
+
+    Library code asks for it at call time, so instrumentation needs no
+    parameter threading through the layers between ``Session.solve``
+    and a PCSA union; install one with
+    :func:`~repro.run_context.run_scope`.
+    """
+    telemetry = current_run().telemetry
+    return NOOP if telemetry is None else telemetry

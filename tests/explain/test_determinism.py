@@ -11,8 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import Problem, default_weights
-from repro.explain import EventLog, use_event_log
+from repro.explain import EventLog
 from repro.quality import Objective
+from repro.run_context import run_scope
 from repro.search import OptimizerConfig, get_optimizer
 from repro.session import Session
 from repro.workload import DataConfig, generate_books_universe
@@ -46,7 +47,8 @@ def test_solve_is_identical_with_and_without_events(
 ):
     plain_result, plain_objective = solve(optimizer_name, seed, max_sources)
 
-    with use_event_log(EventLog()) as log:
+    log = EventLog()
+    with run_scope(events=log):
         logged_result, logged_objective = solve(
             optimizer_name, seed, max_sources
         )

@@ -10,12 +10,11 @@ from repro.explain import (
     PairMerged,
     SeedPlanted,
     get_event_log,
-    set_event_log,
-    use_event_log,
 )
 from repro.explain.events import ClusterEliminated
 from repro.matching import MatchOperator
 from repro.quality import Objective
+from repro.run_context import run_scope
 from repro.search import OptimizerConfig, TabuSearch
 from repro.telemetry import InMemoryExporter
 
@@ -94,26 +93,24 @@ class TestRuntime:
 
     def test_use_event_log_scopes_and_restores(self):
         log = EventLog()
-        with use_event_log(log) as installed:
-            assert installed is log
+        with run_scope(events=log) as installed:
+            assert installed.events is log
             assert get_event_log() is log
         assert get_event_log() is NOOP_EVENTS
 
     def test_use_event_log_restores_on_error(self):
         log = EventLog()
         with pytest.raises(RuntimeError):
-            with use_event_log(log):
+            with run_scope(events=log):
                 raise RuntimeError("boom")
         assert get_event_log() is NOOP_EVENTS
 
     def test_set_event_log_none_restores_noop(self):
         log = EventLog()
-        set_event_log(log)
-        try:
+        with run_scope(events=log):
             assert get_event_log() is log
-        finally:
-            set_event_log(None)
-        assert get_event_log() is NOOP_EVENTS
+            with run_scope(events=None):
+                assert get_event_log() is NOOP_EVENTS
 
 
 class TestPipelineEmission:
@@ -121,7 +118,7 @@ class TestPipelineEmission:
         operator = MatchOperator(books_workload.universe, theta=0.65)
         selection = sorted(books_workload.universe.source_ids)[:6]
         log = EventLog()
-        with use_event_log(log):
+        with run_scope(events=log):
             result = operator.match(selection)
         counts = log.counts()
         assert counts.get("match.merge", 0) > 0
@@ -139,7 +136,7 @@ class TestPipelineEmission:
         selection = sorted(books_workload.universe.source_ids)[:6]
         operator.match(selection)  # warm the memo outside the log
         log = EventLog()
-        with use_event_log(log):
+        with run_scope(events=log):
             operator.match(selection)
         assert len(log) == 0
 
@@ -150,7 +147,7 @@ class TestPipelineEmission:
             max_sources=5,
         )
         log = EventLog()
-        with use_event_log(log):
+        with run_scope(events=log):
             objective = Objective(problem)
             TabuSearch(
                 OptimizerConfig(max_iterations=6, seed=0)

@@ -20,7 +20,8 @@ from hypothesis import strategies as st
 
 from repro.core import CharacteristicSpec, Problem, Universe
 from repro.quality import EvalContext, Objective
-from repro.telemetry import InMemoryExporter, Telemetry, use_telemetry
+from repro.run_context import run_scope
+from repro.telemetry import InMemoryExporter, Telemetry
 
 from ..conftest import make_source
 
@@ -205,7 +206,7 @@ class TestLRUMemo:
 
     def test_eviction_counter_is_exported(self, books_workload):
         telemetry = Telemetry(exporters=[InMemoryExporter()])
-        with use_telemetry(telemetry):
+        with run_scope(telemetry=telemetry):
             problem = build_problem(books_workload.universe, 4)
             objective = Objective(problem, cache_size=2)
             for i in range(6):

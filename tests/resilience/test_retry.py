@@ -197,14 +197,15 @@ class TestReseededRetry:
 
 class TestRetryTelemetry:
     def test_retry_span_and_counters(self, problem):
-        from repro.telemetry import InMemoryExporter, Telemetry, use_telemetry
+        from repro.run_context import run_scope
+        from repro.telemetry import InMemoryExporter, Telemetry
 
         exporter = InMemoryExporter()
         telemetry = Telemetry(exporters=[exporter])
         specs = seeded_restarts("local", 2, CONFIG)
         plan = crash_plan((1, 0))
         resilience = ResilienceConfig(retry=RetryPolicy(max_retries=1))
-        with use_telemetry(telemetry):
+        with run_scope(telemetry=telemetry):
             ParallelSolveEngine(jobs=1, resilience=resilience).solve(
                 problem, faulted_portfolio(specs, plan)
             )

@@ -16,6 +16,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro.exceptions import SearchError
+from repro.run_context import current_run
 from repro.search import (
     OptimizerConfig,
     ParallelSolveEngine,
@@ -25,7 +26,6 @@ from repro.search import (
     resolve_portfolio,
     seeded_restarts,
 )
-from repro.search import base as search_base
 from repro.search.parallel import WorkerOutcome, select_winner
 
 from .test_optimizers import tiny_problem
@@ -207,7 +207,7 @@ class TestEarlyStop:
     def test_inline_stop_check_is_uninstalled_afterwards(self):
         engine = ParallelSolveEngine(jobs=1, stop_quality=0.0)
         engine.solve(tiny_problem(), seeded_restarts("tabu", 2, CONFIG))
-        assert search_base.current_stop_check() is None
+        assert current_run().stop_check is None
 
     def test_early_stop_still_returns_the_merge_winner(self):
         result = ParallelSolveEngine(jobs=1, stop_quality=0.0).solve(

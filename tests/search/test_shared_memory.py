@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 
 from repro.quality import Objective
+from repro.run_context import run_scope
 from repro.search import (
     OptimizerConfig,
     ParallelSolveEngine,
@@ -36,7 +37,7 @@ from repro.search.shm import (
     shm_available,
 )
 from repro.similarity import NameSimilarityMatrix, default_measure
-from repro.telemetry import InMemoryExporter, Telemetry, use_telemetry
+from repro.telemetry import InMemoryExporter, Telemetry
 from repro.testing import FaultPlan, FaultSpec, faulty_spec
 
 from .test_optimizers import tiny_problem
@@ -65,7 +66,7 @@ def solve(jobs, start_method=None, resilience=None, workers=None):
     """One instrumented solve; returns (result, telemetry)."""
     problem, specs, similarity, eval_context = solve_setup()
     telemetry = Telemetry(exporters=[InMemoryExporter()])
-    with use_telemetry(telemetry):
+    with run_scope(telemetry=telemetry):
         result = ParallelSolveEngine(
             jobs=jobs, start_method=start_method, resilience=resilience
         ).solve(

@@ -3,21 +3,18 @@
 A leaked check is a silent-corruption bug: every subsequent in-process
 solve would observe a stale "stop now" signal at its first iteration and
 return a barely-searched answer with no error anywhere.  These tests pin
-the exception-safety contract of ``stop_check_scope`` and verify the
-engine's in-process paths (including the raising ones) leave the global
-clean.
+the exception-safety contract of ``run_scope(stop_check=...)``, its
+per-thread visibility, and verify the engine's in-process paths
+(including the raising ones) leave the caller's context clean.
 """
+
+import threading
 
 import pytest
 
 from repro.exceptions import SearchError
-from repro.search import (
-    OptimizerConfig,
-    ParallelSolveEngine,
-    seeded_restarts,
-    stop_check_scope,
-)
-from repro.search import base as search_base
+from repro.run_context import current_run, run_scope
+from repro.search import OptimizerConfig, ParallelSolveEngine, seeded_restarts
 from repro.testing import FaultPlan, FaultSpec, faulty_spec
 
 from .test_optimizers import tiny_problem
@@ -26,31 +23,44 @@ CONFIG = OptimizerConfig(max_iterations=8, patience=6, seed=2)
 
 
 def installed_check():
-    return search_base.current_stop_check()
+    return current_run().stop_check
 
 
 class TestStopCheckScope:
     def test_installs_and_restores(self):
         assert installed_check() is None
         check = lambda: False  # noqa: E731
-        with stop_check_scope(check):
+        with run_scope(stop_check=check):
             assert installed_check() is check
         assert installed_check() is None
 
     def test_restores_on_exception(self):
         with pytest.raises(RuntimeError):
-            with stop_check_scope(lambda: False):
+            with run_scope(stop_check=lambda: False):
                 raise RuntimeError("boom")
         assert installed_check() is None
 
     def test_nested_scopes_restore_the_outer_check(self):
         outer = lambda: False  # noqa: E731
         inner = lambda: True  # noqa: E731
-        with stop_check_scope(outer):
-            with stop_check_scope(inner):
+        with run_scope(stop_check=outer):
+            with run_scope(stop_check=inner):
                 assert installed_check() is inner
             assert installed_check() is outer
         assert installed_check() is None
+
+    def test_check_is_invisible_on_other_threads(self):
+        seen = []
+        check = lambda: True  # noqa: E731
+        with run_scope(stop_check=check):
+            thread = threading.Thread(
+                target=lambda: seen.append(installed_check())
+            )
+            thread.start()
+            thread.join(timeout=10.0)
+            assert not thread.is_alive()
+            assert installed_check() is check
+        assert seen == [None]
 
 
 class TestEngineLeavesTheGlobalClean:

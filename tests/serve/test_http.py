@@ -255,6 +255,36 @@ class TestGracefulDegradation:
             ] == "done"
 
 
+class TestTwoApps:
+    def test_closing_one_app_leaves_the_other_recording(
+        self, resident, tmp_path
+    ):
+        first = ServeApp(
+            {resident.name: resident}, job_dir=tmp_path / "a", profile=True
+        ).start()
+        second = ServeApp(
+            {resident.name: resident}, job_dir=tmp_path / "b", profile=True
+        ).start()
+        try:
+            first.close()
+            status, created = second.dispatch(
+                "POST", "/sessions", {"seed": 1}
+            )
+            assert status == 201
+            sid = created["session_id"]
+            status, _ = second.dispatch("POST", f"/sessions/{sid}/solve", {})
+            assert status == 200
+            _, metrics = second.dispatch("GET", "/metrics")
+        finally:
+            second.close()
+        assert metrics["counters"]["serve.sessions_created"] == 1
+        # The second app's profiler still samples its requests.
+        assert any(
+            name.startswith("profile.phase.") for name in metrics["histograms"]
+        )
+        assert "objective.memo" in metrics["cache"]
+
+
 class TestLiveHTTP:
     """The same API through real sockets, threads, and JSON bytes."""
 

@@ -3,15 +3,17 @@
 The solve service runs one thread per request over sessions that share
 a resident universe's compiled artifacts.  These tests pin the two
 properties that makes safe: distinct sessions never observe each
-other's edits (isolation), and a session solved concurrently with
-others produces exactly the solution it would have produced alone
-(determinism — the acceptance criterion's bit-identical clause).
+other's edits or decision events (isolation), and a session solved
+concurrently with others produces exactly the solution it would have
+produced alone (determinism — the acceptance criterion's bit-identical
+clause).
 """
 
 from __future__ import annotations
 
 import threading
 
+from repro.explain import NOOP_EVENTS, get_event_log
 from repro.search import OptimizerConfig
 from repro.serve import ResidentUniverse
 
@@ -147,3 +149,59 @@ class TestConcurrentSessions:
         for session in sessions:
             assert session._matrix is resident.matrix
             assert session._shared_context is resident.eval_context
+
+    def test_overlapped_explain_keeps_its_own_events(self, theater):
+        resident = ResidentUniverse("theater:0", theater)
+
+        def make_session():
+            return resident.make_session(
+                record_runs=False, optimizer_config=FAST
+            )
+
+        solo = make_session().solve(
+            explain=True, on_progress=lambda snapshot: None
+        ).explanation
+
+        # Choreography: the plain solve starts while the explain solve
+        # is searching, then waits inside its own search until the
+        # explain solve (replay included) has returned — so it outlives
+        # it.  Progress callbacks run on their solve's own thread.
+        explain_searching = threading.Event()
+        plain_started = threading.Event()
+        explain_done = threading.Event()
+
+        def explain_progress(snapshot):
+            explain_searching.set()
+            plain_started.wait(timeout=30.0)
+
+        def plain_progress(snapshot):
+            plain_started.set()
+            explain_done.wait(timeout=30.0)
+
+        plain_session = make_session()
+        errors: list[BaseException] = []
+
+        def plain():
+            try:
+                explain_searching.wait(timeout=30.0)
+                plain_session.solve(on_progress=plain_progress)
+            except BaseException as exc:  # noqa: BLE001 - surfaced below
+                errors.append(exc)
+
+        thread = threading.Thread(target=plain)
+        thread.start()
+        try:
+            explained = make_session().solve(
+                explain=True, on_progress=explain_progress
+            ).explanation
+        finally:
+            explain_done.set()
+        thread.join(timeout=60.0)
+        assert not thread.is_alive()
+        assert not errors, errors
+        assert plain_started.is_set()
+
+        assert explained.search_events
+        assert explained.search_events == solo.search_events
+        assert explained.match_events == solo.match_events
+        assert get_event_log() is NOOP_EVENTS

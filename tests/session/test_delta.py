@@ -19,10 +19,11 @@ import pytest
 
 from repro.core import CharacteristicSpec, Problem, Source, Universe
 from repro.exceptions import ConstraintError, WeightError
+from repro.run_context import run_scope
 from repro.search import OptimizerConfig
 from repro.session import Session
 from repro.session.delta import Edit, EditJournal, plan_delta
-from repro.telemetry import Telemetry, use_telemetry
+from repro.telemetry import Telemetry
 
 FAST = OptimizerConfig(max_iterations=15, patience=8, seed=0)
 
@@ -332,7 +333,7 @@ class TestInvalidationMatrix:
     def run_edit(self, universe, edit):
         telemetry = Telemetry()
         session = session_for(universe)
-        with use_telemetry(telemetry):
+        with run_scope(telemetry=telemetry):
             session.solve()
             state_before = (
                 session._objective,
@@ -455,7 +456,7 @@ class TestInvalidationMatrix:
         session.add_characteristic_qef(
             CharacteristicSpec(name="rank", characteristic="rank"), 0.2
         )
-        with use_telemetry(telemetry):
+        with run_scope(telemetry=telemetry):
             session.solve()
             operator_before = session._objective.match_operator
             edit(session)
@@ -467,7 +468,7 @@ class TestInvalidationMatrix:
     def test_delta_false_goes_cold_every_solve(self, universe):
         telemetry = Telemetry()
         session = session_for(universe, delta=False)
-        with use_telemetry(telemetry):
+        with run_scope(telemetry=telemetry):
             session.solve()
             session.solve()
         stats = counters(telemetry)

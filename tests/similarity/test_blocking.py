@@ -19,6 +19,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.run_context import run_scope
 from repro.similarity import (
     NameSimilarityMatrix,
     NGramCosine,
@@ -33,7 +34,7 @@ from repro.similarity.blocking import (
     build_gram_index,
     exact_candidates,
 )
-from repro.telemetry import InMemoryExporter, Telemetry, use_telemetry
+from repro.telemetry import InMemoryExporter, Telemetry
 from repro.testing import PerPairMeasure
 
 MEASURES = [
@@ -154,7 +155,7 @@ class TestTelemetry:
     def test_build_records_blocking_counters(self):
         telemetry = Telemetry(exporters=[InMemoryExporter()])
         names = [f"name_{i}" for i in range(20)] + ["zzzz", "qqqq"]
-        with use_telemetry(telemetry):
+        with run_scope(telemetry=telemetry):
             scores = blocked_scores(names, NGramJaccard(3))
         telemetry.close()
         metrics = telemetry.metrics

@@ -13,8 +13,9 @@ from hypothesis import strategies as st
 
 from repro.core import Problem, default_weights
 from repro.quality import Objective
+from repro.run_context import run_scope
 from repro.search import OptimizerConfig, get_optimizer
-from repro.telemetry import InMemoryExporter, Telemetry, use_telemetry
+from repro.telemetry import InMemoryExporter, Telemetry
 from repro.workload import DataConfig, generate_books_universe
 
 UNIVERSE = generate_books_universe(
@@ -47,7 +48,7 @@ def test_solve_is_identical_with_and_without_telemetry(
     plain_result, plain_objective = solve(optimizer_name, seed, max_sources)
 
     telemetry = Telemetry(exporters=[InMemoryExporter()])
-    with use_telemetry(telemetry):
+    with run_scope(telemetry=telemetry):
         traced_result, traced_objective = solve(
             optimizer_name, seed, max_sources
         )
@@ -69,7 +70,7 @@ def test_solve_is_identical_with_and_without_telemetry(
 @settings(max_examples=8, deadline=None)
 def test_traced_counters_match_plain_evaluation_counts(seed):
     telemetry = Telemetry(exporters=[InMemoryExporter()])
-    with use_telemetry(telemetry):
+    with run_scope(telemetry=telemetry):
         result, objective = solve("tabu", seed, 5)
     metrics = telemetry.metrics
     assert (

@@ -13,8 +13,9 @@ import pytest
 
 from repro.core import Problem, default_weights
 from repro.quality import Objective
+from repro.run_context import run_scope
 from repro.search import OptimizerConfig, TabuSearch
-from repro.telemetry import InMemoryExporter, Telemetry, use_telemetry
+from repro.telemetry import InMemoryExporter, Telemetry
 from repro.workload import DataConfig, generate_books_universe
 
 #: Enabled-mode budget relative to disabled mode.
@@ -49,7 +50,7 @@ def test_enabled_telemetry_stays_within_overhead_budget():
 
     disabled = best_of_runs()
     telemetry = Telemetry(exporters=[InMemoryExporter()])
-    with use_telemetry(telemetry):
+    with run_scope(telemetry=telemetry):
         enabled = best_of_runs()
 
     assert enabled <= disabled * MAX_OVERHEAD_RATIO, (

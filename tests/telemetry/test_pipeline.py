@@ -3,9 +3,10 @@
 import pytest
 
 from repro.quality import Objective
+from repro.run_context import run_scope
 from repro.search import OptimizerConfig, TabuSearch, get_optimizer
 from repro.session import Session, render_history
-from repro.telemetry import InMemoryExporter, Telemetry, use_telemetry
+from repro.telemetry import InMemoryExporter, Telemetry
 
 
 @pytest.fixture
@@ -197,7 +198,7 @@ class TestIsolation:
 
     def test_use_telemetry_scopes_a_plain_solve(self, books_workload):
         exporter = InMemoryExporter()
-        with use_telemetry(Telemetry(exporters=[exporter])):
+        with run_scope(telemetry=Telemetry(exporters=[exporter])):
             session = Session(
                 books_workload.universe,
                 max_sources=5,

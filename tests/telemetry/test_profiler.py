@@ -15,6 +15,7 @@ import weakref
 
 import pytest
 
+from repro.run_context import run_scope
 from repro.search import OptimizerConfig
 from repro.session import Session
 from repro.telemetry import (
@@ -24,9 +25,6 @@ from repro.telemetry import (
     get_profiler,
     phase_profile,
     render_phase_report,
-    set_profiler,
-    use_profiler,
-    use_telemetry,
 )
 from repro.telemetry.profiler import (
     CACHE_METRIC_PREFIX,
@@ -39,7 +37,7 @@ from repro.telemetry.profiler import (
 def telemetry():
     """An enabled tracer installed for the duration of one test."""
     telemetry = Telemetry()
-    with use_telemetry(telemetry):
+    with run_scope(telemetry=telemetry):
         yield telemetry
 
 
@@ -58,15 +56,13 @@ class TestDefaults:
 
     def test_set_profiler_none_restores_noop(self):
         profiler = PhaseProfiler()
-        set_profiler(profiler)
-        try:
+        with run_scope(profiler=profiler):
             assert get_profiler() is profiler
-        finally:
-            set_profiler(None)
-        assert get_profiler() is NOOP_PROFILER
+            with run_scope(profiler=None):
+                assert get_profiler() is NOOP_PROFILER
 
     def test_use_profiler_restores_previous(self):
-        with use_profiler(PhaseProfiler()):
+        with run_scope(profiler=PhaseProfiler()):
             assert get_profiler().enabled
         assert get_profiler() is NOOP_PROFILER
 
@@ -277,7 +273,7 @@ class TestWorkerFoldBack:
         for _ in range(2):
             worker = Telemetry()
             profiler = PhaseProfiler()
-            with use_telemetry(worker), profiler:
+            with run_scope(telemetry=worker), profiler:
                 with profiler.phase("search"):
                     pass
             parent.metrics.merge_snapshot(worker.metrics.snapshot())
@@ -292,7 +288,7 @@ class TestWorkerFoldBack:
             profiler.add_cache_probe(
                 "objective.memo", lambda h=hits: {"hits": h, "misses": 1}
             )
-            with use_telemetry(worker), profiler:
+            with run_scope(telemetry=worker), profiler:
                 pass
             parent.metrics.merge_snapshot(worker.metrics.snapshot())
         totals = cache_totals(parent.metrics.snapshot())
@@ -305,7 +301,7 @@ class TestPipelineIntegration:
     ):
         telemetry = Telemetry()
         profiler = PhaseProfiler()
-        with use_telemetry(telemetry), use_profiler(profiler), profiler:
+        with run_scope(telemetry=telemetry, profiler=profiler), profiler:
             session = Session(
                 books_workload.universe,
                 max_sources=5,
@@ -338,7 +334,7 @@ class TestPipelineIntegration:
         bare = solve()
         telemetry = Telemetry()
         profiler = PhaseProfiler(memory=True)
-        with use_telemetry(telemetry), use_profiler(profiler), profiler:
+        with run_scope(telemetry=telemetry, profiler=profiler), profiler:
             profiled = solve()
         assert profiled.solution.selected == bare.solution.selected
         assert profiled.solution.objective == bare.solution.objective
@@ -348,7 +344,7 @@ class TestPipelineIntegration:
     def test_parallel_solve_folds_worker_phases_home(self, books_workload):
         telemetry = Telemetry()
         profiler = PhaseProfiler()
-        with use_telemetry(telemetry), use_profiler(profiler), profiler:
+        with run_scope(telemetry=telemetry, profiler=profiler), profiler:
             session = Session(
                 books_workload.universe,
                 max_sources=5,
