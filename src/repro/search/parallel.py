@@ -9,16 +9,18 @@ and the engine deterministically merges their results.
 
 Design points:
 
-* **Compile once, ship once.**  The :class:`Problem` (universe, sketches,
-  constraints) and optionally the prebuilt
-  :class:`~repro.similarity.matrix.NameSimilarityMatrix` are pickled into
-  a :class:`WorkerContext` that travels to each worker process exactly
-  once, through the pool initializer.  Everything derived — `Objective`,
-  `EvalContext`, `StackedSketches`, match operator — is rebuilt lazily
-  *inside* the worker, because the numpy state is cheap to recompute but
-  expensive to serialize.  Under ``fork`` the context is shared
-  copy-on-write for free; under ``spawn`` it is pickled, which the
-  explicit ``__getstate__`` hooks on `Universe` and friends keep lean.
+* **One context, one transport.**  The :class:`Problem` (universe,
+  sketches, constraints), the prebuilt dense
+  :class:`~repro.similarity.matrix.NameSimilarityMatrix` and, on delta
+  re-solves, the session's compiled
+  :class:`~repro.quality.compiled.EvalContext` form one
+  :class:`WorkerContext` handed to every pool process through the
+  initializer.  Under ``fork`` the workers inherit it copy-on-write;
+  under ``spawn`` it is pickled once per pool generation (the first
+  pool, each rotation and each broken-pool rebuild), which the explicit
+  ``__getstate__`` hooks on `Universe` and friends keep lean.  The
+  `Objective` and match operator are rebuilt *inside* the worker, per
+  run, so results never depend on which process a task landed in.
 
 * **Deterministic merge.**  Workers are merged in *submission* order, the
   winner chosen by ``(objective, feasible)`` with ties broken by the
@@ -108,7 +110,6 @@ from .resilience import (
     respec_for_attempt,
     write_checkpoint,
 )
-from .shm import SharedSegmentSet, attach_array, shm_available
 
 
 @dataclass(frozen=True, slots=True)
@@ -230,15 +231,14 @@ class PortfolioStats:
 
 
 class WorkerContext:
-    """The pickle-once payload every portfolio worker shares.
+    """The one context every portfolio worker shares.
 
-    Carries the compiled problem (and, when available, the prebuilt
-    similarity matrix) plus the run parameters common to all workers.
-    The expensive derived state — :class:`Objective` with its
-    `EvalContext`, stacked sketches and match operator — is *not*
-    shipped: :meth:`build_objective` reconstructs it fresh inside the
-    worker, per run, so results never depend on which process a task
-    landed in.
+    Carries the compiled problem, the prebuilt similarity matrix and the
+    caller's compiled ``EvalContext`` (each when available), plus the run
+    parameters common to all workers.  The :class:`Objective` and its
+    match operator are *not* shipped: :meth:`build_objective` rebuilds
+    them inside the worker, per run, so results never depend on which
+    process a task landed in.
     """
 
     def __init__(
@@ -278,182 +278,13 @@ class WorkerContext:
             context=self.eval_context,
         )
 
-    def __getstate__(self) -> dict:
-        return {
-            "problem": self.problem,
-            "similarity": self.similarity,
-            "initial": self.initial,
-            "stop_quality": self.stop_quality,
-            "collect_telemetry": self.collect_telemetry,
-            "heartbeat_interval": self.heartbeat_interval,
-            "profile": self.profile,
-            "profile_memory": self.profile_memory,
-            "eval_context": self.eval_context,
-        }
-
-    def __setstate__(self, state: dict) -> None:
-        state.setdefault("heartbeat_interval", DEFAULT_HEARTBEAT_INTERVAL)
-        state.setdefault("profile", False)
-        state.setdefault("profile_memory", False)
-        state.setdefault("eval_context", None)
-        self.__dict__.update(state)
-
     def __repr__(self) -> str:
         return f"WorkerContext({len(self.problem.universe)} sources)"
 
 
-class _SharedContextPayload:
-    """A :class:`WorkerContext` whose big arrays ride shared memory.
-
-    Built parent-side by :func:`export_context`: the similarity matrix
-    (dense array or CSR triple), the compiled ``EvalContext`` vectors and
-    the stacked PCSA word matrix are copied into
-    :class:`~repro.search.shm.SharedSegmentSet` segments, and this pickle
-    carries only their :class:`~repro.search.shm.SharedArrayRef`
-    descriptors plus the context's small fields.  :meth:`materialize`
-    runs inside the pool initializer and reassembles an equivalent
-    context over zero-copy read-only views of the segments — every
-    worker and every pool generation attaches the same bytes, so the
-    solve is bit-identical to the plain-pickle transport.
-    """
-
-    def __init__(self, context: WorkerContext, segments: SharedSegmentSet):
-        self.problem = context.problem
-        self.fields = {
-            "initial": context.initial,
-            "stop_quality": context.stop_quality,
-            "collect_telemetry": context.collect_telemetry,
-            "heartbeat_interval": context.heartbeat_interval,
-            "profile": context.profile,
-            "profile_memory": context.profile_memory,
-        }
-        self.similarity = None
-        matrix = context.similarity
-        if matrix is not None:
-            if matrix.is_sparse:
-                sparse = matrix._sparse
-                self.similarity = (
-                    "sparse",
-                    matrix.names,
-                    matrix.measure_name,
-                    sparse.n,
-                    segments.share(sparse.indptr),
-                    segments.share(sparse.indices),
-                    segments.share(sparse.data),
-                )
-            else:
-                self.similarity = (
-                    "dense",
-                    matrix.names,
-                    matrix.measure_name,
-                    segments.share(matrix.matrix),
-                )
-        self.eval_context = None
-        eval_context = context.eval_context
-        if eval_context is not None:
-            stacked = eval_context.stacked
-            self.eval_context = {
-                "ids": segments.share(eval_context.ids),
-                "coop_mask": segments.share(eval_context.coop_mask),
-                "cards": segments.share(eval_context.cards),
-                "stacked": (
-                    None
-                    if stacked is None
-                    else (
-                        segments.share(stacked.words),
-                        stacked.num_maps,
-                        stacked.map_bits,
-                        stacked.seed,
-                    )
-                ),
-                "total_cardinality": eval_context.total_cardinality,
-                "universe_distinct": eval_context.universe_distinct,
-                "characteristics": eval_context.characteristics,
-                "vector_names": eval_context.vector_names,
-            }
-
-    def materialize(self) -> WorkerContext:
-        """Reassemble the context over attached segments (worker side)."""
-        similarity = None
-        if self.similarity is not None:
-            if self.similarity[0] == "sparse":
-                from ..similarity.matrix import _CsrMatrix
-
-                _, names, measure_name, n, indptr, indices, data = (
-                    self.similarity
-                )
-                similarity = NameSimilarityMatrix.from_sparse(
-                    names,
-                    _CsrMatrix(
-                        n,
-                        attach_array(indptr),
-                        attach_array(indices),
-                        attach_array(data),
-                    ),
-                    measure_name,
-                )
-            else:
-                _, names, measure_name, dense = self.similarity
-                similarity = NameSimilarityMatrix(
-                    names, attach_array(dense), measure_name
-                )
-        eval_context = None
-        if self.eval_context is not None:
-            from ..quality.compiled import EvalContext
-            from ..sketch.stacked import StackedSketches
-
-            spec = self.eval_context
-            stacked = None
-            if spec["stacked"] is not None:
-                words, num_maps, map_bits, seed = spec["stacked"]
-                stacked = StackedSketches(
-                    attach_array(words), num_maps, map_bits, seed
-                )
-            eval_context = EvalContext(
-                ids=attach_array(spec["ids"]),
-                coop_mask=attach_array(spec["coop_mask"]),
-                cards=attach_array(spec["cards"]),
-                stacked=stacked,
-                total_cardinality=spec["total_cardinality"],
-                universe_distinct=spec["universe_distinct"],
-                characteristics=spec["characteristics"],
-                vector_names=spec["vector_names"],
-            )
-        return WorkerContext(
-            self.problem,
-            similarity=similarity,
-            eval_context=eval_context,
-            **self.fields,
-        )
-
-
-def export_context(
-    context: WorkerContext,
-) -> tuple["WorkerContext | _SharedContextPayload", SharedSegmentSet | None]:
-    """``(transport, segments)``: a context readied for the pool pickle.
-
-    When shared memory is usable and the context actually carries large
-    arrays, returns a :class:`_SharedContextPayload` plus the live
-    segment set the caller must :meth:`~repro.search.shm.
-    SharedSegmentSet.close` when the solve's pool phase ends.  Otherwise
-    — ``MUBE_SHM=0``, platform without shared memory, nothing to share,
-    or the segments failing to allocate — returns the original context
-    with ``None``, and the plain pickle path carries everything as
-    before.
-    """
-    if not shm_available():
-        return context, None
-    segments = SharedSegmentSet()
-    try:
-        payload = _SharedContextPayload(context, segments)
-    except OSError:
-        # /dev/shm full or segment creation refused: degrade to pickle.
-        segments.close()
-        return context, None
-    if not len(segments):
-        segments.close()
-        return context, None
-    return payload, segments
+def export_context(context: WorkerContext) -> tuple[WorkerContext, None]:
+    """``(context, None)``: kept for wrappers that read ``result[1]``."""
+    return context, None
 
 
 # -- portfolio construction ---------------------------------------------------
@@ -604,10 +435,6 @@ def _worker_init(
     """
     global _WORKER_CONTEXT, _WORKER_STOP, _WORKER_STARTED
     global _WORKER_HEARTBEATS
-    if isinstance(context, _SharedContextPayload):
-        # The big arrays travelled as shared-memory refs; attach the
-        # segments and rebuild the context over zero-copy views.
-        context = context.materialize()
     _WORKER_CONTEXT = context
     _WORKER_STOP = stop_event
     _WORKER_STARTED = started
@@ -1414,20 +1241,8 @@ class ParallelSolveEngine:
         # task, possibly forever — and never reused: its slot is held
         # hostage, which would starve every later round.
         pool_hung = False
-        # The context's large arrays go to shared memory once per solve;
-        # every pool generation (rotation, broken-pool rebuild) attaches
-        # the same segments, and the finally below unlinks them.
-        transport, shm_segments = export_context(run.context)
-        metrics = telemetry.metrics
-        if shm_segments is not None:
-            metrics.counter("portfolio.shm_segments").inc(len(shm_segments))
-            metrics.counter("portfolio.shm_bytes").inc(
-                shm_segments.total_bytes()
-            )
-        else:
-            metrics.counter("portfolio.shm_fallbacks").inc()
         pool, started = self._new_pool(
-            mp_context, run, stop_event, heartbeat_channel, transport
+            mp_context, run, stop_event, heartbeat_channel
         )
         try:
             while pending:
@@ -1476,8 +1291,7 @@ class ParallelSolveEngine:
                         run.requeues += len(uncollected)
                         pending = deque(uncollected) + pending
                         pool, started = self._new_pool(
-                            mp_context, run, stop_event, heartbeat_channel,
-                            transport,
+                            mp_context, run, stop_event, heartbeat_channel
                         )
                         pool_hung = False
                     else:
@@ -1497,18 +1311,12 @@ class ParallelSolveEngine:
                     pool.shutdown(wait=False, cancel_futures=True)
                     run.pool_rebuilds += 1
                     pool, started = self._new_pool(
-                        mp_context, run, stop_event, heartbeat_channel,
-                        transport,
+                        mp_context, run, stop_event, heartbeat_channel
                     )
                     pool_hung = False
         finally:
             if pool is not None:
                 pool.shutdown(wait=not pool_hung, cancel_futures=True)
-            if shm_segments is not None:
-                # Unlink now that no new pool generation can attach;
-                # workers still mapped (even hung ones) keep their views
-                # until they exit, but the /dev/shm names are gone.
-                shm_segments.close()
             if drain is not None:
                 drain.close()
         if leftovers:
@@ -1636,7 +1444,7 @@ class ParallelSolveEngine:
 
     def _new_pool(
         self, mp_context, run: _PortfolioRun, stop_event,
-        heartbeat_channel=None, transport=None,
+        heartbeat_channel=None,
     ) -> tuple[ProcessPoolExecutor, "object | None"]:
         """A fresh worker pool plus its shared execution ledger.
 
@@ -1646,14 +1454,11 @@ class ParallelSolveEngine:
         exactly this pool's processes — a rotated-away pool keeps
         writing to its own ledger, never the replacement's.  Only built
         when a worker timeout is configured; nothing else reads it.
-        The heartbeat channel and the context transport (plain
-        :class:`WorkerContext` or, when shared memory is on, the
-        :class:`_SharedContextPayload` over the solve's segments), by
-        contrast, are created once per solve and shared across pool
-        generations: a rotated-away pool's stragglers may keep pulsing
-        into the channel, which is harmless (late heartbeats for
-        terminal workers are counted and ignored), and every generation
-        attaches the same immutable segments.
+        The heartbeat channel and the context, by contrast, are created
+        once per solve and shared across pool generations: a rotated-away
+        pool's stragglers may keep pulsing into the channel, which is
+        harmless (late heartbeats for terminal workers are counted and
+        ignored), and the context is immutable.
         """
         started = (
             mp_context.Array("i", len(run.specs))
@@ -1665,7 +1470,7 @@ class ParallelSolveEngine:
             mp_context=mp_context,
             initializer=_worker_init,
             initargs=(
-                transport if transport is not None else run.context,
+                run.context,
                 stop_event,
                 started,
                 heartbeat_channel,

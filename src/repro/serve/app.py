@@ -255,7 +255,7 @@ class ServeApp:
         if key == ("POST", "solve"):
             return 202, self._submit_job(body)
         if len(parts) == 2 and key[:2] == ("GET", "jobs"):
-            return 200, self.jobs.get(parts[1]).describe()
+            return 200, self.jobs.describe(parts[1])
         if len(parts) == 3 and key[:2] == ("GET", "jobs") and parts[2] == "result":
             return 200, self.jobs.result(parts[1])
         if key == ("POST", "sessions"):

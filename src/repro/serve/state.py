@@ -573,23 +573,31 @@ class JobManager:
 
     def get(self, job_id: str) -> Job:
         with self._lock:
-            job = self._jobs.get(job_id)
+            return self._get(job_id)
+
+    def _get(self, job_id: str) -> Job:
+        job = self._jobs.get(job_id)
         if job is None:
             raise UnknownJobError(f"no job {job_id!r}")
         return job
 
+    def describe(self, job_id: str) -> dict:
+        """The poll payload, read atomically against state transitions."""
+        with self._lock:
+            return self._get(job_id).describe()
+
     def result(self, job_id: str) -> dict:
         """The finished job's result payload, or the precise refusal."""
-        job = self.get(job_id)
-        if job.state == "done":
-            assert job.result is not None
-            return job.result
-        if job.state == "failed":
-            raise JobNotDoneError(
-                f"job {job_id} failed: {job.error}"
-            )
+        with self._lock:
+            job = self._get(job_id)
+            state, result, error = job.state, job.result, job.error
+        if state == "done":
+            assert result is not None
+            return result
+        if state == "failed":
+            raise JobNotDoneError(f"job {job_id} failed: {error}")
         raise JobNotDoneError(
-            f"job {job_id} is {job.state}; poll GET /jobs/{job_id} "
+            f"job {job_id} is {state}; poll GET /jobs/{job_id} "
             f"until state is 'done'"
         )
 
@@ -611,19 +619,29 @@ class JobManager:
             self._execute(job)
 
     def _execute(self, job: Job) -> None:
-        job.state = "running"
-        job.started_at = time.time()
+        # Each transition sets its timestamp (and result or error) with
+        # the state under the lock, so a poll never sees a state whose
+        # fields are still unset.
+        started_at = time.time()
+        with self._lock:
+            job.started_at = started_at
+            job.state = "running"
         self._write_manifest(job)
+        result = error = None
         try:
-            job.result = self._runner(job)
+            result = self._runner(job)
         except Exception as exc:  # noqa: BLE001 - job outcome, never fatal
-            job.state = "failed"
-            job.error = f"{type(exc).__name__}: {exc}"
-            get_telemetry().metrics.counter("serve.jobs_failed").inc()
-        else:
-            job.state = "done"
-            get_telemetry().metrics.counter("serve.jobs_completed").inc()
-        job.finished_at = time.time()
+            error = f"{type(exc).__name__}: {exc}"
+        finished_at = time.time()
+        with self._lock:
+            job.finished_at = finished_at
+            job.result = result
+            job.error = error
+            job.state = "failed" if error is not None else "done"
+        get_telemetry().metrics.counter(
+            "serve.jobs_failed" if error is not None
+            else "serve.jobs_completed"
+        ).inc()
         self._write_manifest(job)
 
     def _write_manifest(self, job: Job) -> None:

@@ -121,6 +121,33 @@ class TestInProcessRoundTrips:
         np.testing.assert_array_equal(copy.cards, context.cards)
         np.testing.assert_array_equal(copy.coop_mask, context.coop_mask)
 
+    def test_worker_context_round_trips_with_its_arrays(self):
+        from repro.search.parallel import WorkerContext
+
+        problem = tiny_problem()
+        similarity = NameSimilarityMatrix.build(
+            tiny_universe().attribute_names(), default_measure()
+        )
+        context = WorkerContext(
+            problem,
+            similarity=similarity,
+            eval_context=Objective(problem).context,
+        )
+        copy = roundtrip(context)
+        assert copy.problem.max_sources == context.problem.max_sources
+        assert copy.similarity.names == context.similarity.names
+        np.testing.assert_array_equal(
+            copy.similarity.matrix, context.similarity.matrix
+        )
+        np.testing.assert_array_equal(
+            copy.eval_context.cards, context.eval_context.cards
+        )
+        np.testing.assert_array_equal(
+            copy.eval_context.stacked.words,
+            context.eval_context.stacked.words,
+        )
+        assert copy.eval_context.index_of == context.eval_context.index_of
+
     def test_universe_pickle_omits_the_id_index(self):
         # The derived index must not bloat the spawn payload.
         universe = tiny_universe()
@@ -146,93 +173,6 @@ class TestInProcessRoundTrips:
         assert copy == schema
         assert hash(copy) == hash(schema)
         assert copy.gas == {ga}
-
-
-class TestSharedMemoryTransport:
-    """The shm payload must carry the same arrays as the plain pickle."""
-
-    def make_context(self):
-        from repro.search.parallel import WorkerContext
-
-        problem = tiny_problem()
-        universe = tiny_universe()
-        similarity = NameSimilarityMatrix.build(
-            universe.attribute_names(), default_measure()
-        )
-        eval_context = Objective(problem).context
-        return WorkerContext(
-            problem, similarity=similarity, eval_context=eval_context
-        )
-
-    def test_payload_round_trips_through_pickle_and_materializes(self):
-        from repro.search.parallel import export_context
-        from repro.search.shm import live_segment_names, shm_available
-
-        if not shm_available():
-            pytest.skip("shared memory unavailable")
-        context = self.make_context()
-        transport, segments = export_context(context)
-        try:
-            assert segments is not None and len(segments) > 0
-            copy = roundtrip(transport).materialize()
-            assert copy.problem.max_sources == context.problem.max_sources
-            assert copy.similarity.names == context.similarity.names
-            np.testing.assert_array_equal(
-                copy.similarity.matrix, context.similarity.matrix
-            )
-            np.testing.assert_array_equal(
-                copy.eval_context.cards, context.eval_context.cards
-            )
-            np.testing.assert_array_equal(
-                copy.eval_context.stacked.words,
-                context.eval_context.stacked.words,
-            )
-            assert copy.eval_context.index_of == context.eval_context.index_of
-        finally:
-            if segments is not None:
-                segments.close()
-        for name in segments.names:
-            assert name not in live_segment_names()
-
-    def test_attached_arrays_are_read_only(self):
-        from repro.search.parallel import export_context
-        from repro.search.shm import shm_available
-
-        if not shm_available():
-            pytest.skip("shared memory unavailable")
-        context = self.make_context()
-        transport, segments = export_context(context)
-        try:
-            copy = roundtrip(transport).materialize()
-            with pytest.raises((ValueError, RuntimeError)):
-                copy.eval_context.cards[0] = 123
-        finally:
-            segments.close()
-
-    def test_disabled_shm_falls_back_to_plain_pickle(self):
-        from repro.search.parallel import WorkerContext, export_context
-        from repro.search.shm import SHM_ENV
-
-        context = self.make_context()
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setenv(SHM_ENV, "0")
-            transport, segments = export_context(context)
-        assert segments is None
-        assert isinstance(transport, WorkerContext)
-        copy = roundtrip(transport)
-        np.testing.assert_array_equal(
-            copy.similarity.matrix, context.similarity.matrix
-        )
-
-    def test_segment_set_close_is_idempotent(self):
-        from repro.search.shm import SharedSegmentSet, shm_available
-
-        if not shm_available():
-            pytest.skip("shared memory unavailable")
-        segments = SharedSegmentSet()
-        segments.share(np.arange(16, dtype=np.float64))
-        segments.close()
-        segments.close()  # second close must be a no-op
 
 
 @pytest.mark.parametrize("method", START_METHODS)

@@ -5,21 +5,29 @@ completion order), a crashing worker must degrade the portfolio instead
 of killing it, an all-failed portfolio must raise a
 :class:`~repro.exceptions.SearchError` naming every worker's reason, and
 the early-stop channel must trip without leaking its installed stop
-check into later sequential solves.
+check into later sequential solves.  A pooled solve handed a prebuilt
+similarity matrix and ``EvalContext`` must match the inline solve, also
+after the pool is rebuilt or rotated.  ``MUBE_TEST_START_METHOD`` pins
+fork/spawn for those, because the pool initializer that receives the
+context is the code path that differs most between the two.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
 
 from repro.exceptions import SearchError
+from repro.quality import Objective
 from repro.run_context import current_run
 from repro.search import (
     OptimizerConfig,
     ParallelSolveEngine,
+    ResilienceConfig,
+    RetryPolicy,
     WorkerSpec,
     parse_portfolio,
     render_portfolio,
@@ -27,10 +35,45 @@ from repro.search import (
     seeded_restarts,
 )
 from repro.search.parallel import WorkerOutcome, select_winner
+from repro.similarity import NameSimilarityMatrix, default_measure
+from repro.testing import FaultPlan, FaultSpec, faulty_spec
 
 from .test_optimizers import tiny_problem
 
 CONFIG = OptimizerConfig(max_iterations=10, patience=8, seed=1)
+POOL_CONFIG = OptimizerConfig(max_iterations=20, patience=14, seed=3)
+
+
+@pytest.fixture(scope="session")
+def start_method():
+    """The pinned multiprocessing start method, or None for the default."""
+    return os.environ.get("MUBE_TEST_START_METHOD") or None
+
+
+def prebuilt_solve(jobs, start_method=None, resilience=None, plan=None):
+    """A three-worker tabu solve handed a prebuilt matrix and EvalContext.
+
+    ``plan`` injects faults into the workers through
+    :func:`~repro.testing.faulty_spec`.
+    """
+    problem = tiny_problem()
+    similarity = NameSimilarityMatrix.build(
+        problem.universe.attribute_names(), default_measure()
+    )
+    workers = seeded_restarts("tabu", 3, POOL_CONFIG)
+    if plan is not None:
+        workers = tuple(
+            faulty_spec(index, spec, plan)
+            for index, spec in enumerate(workers)
+        )
+    return ParallelSolveEngine(
+        jobs=jobs, start_method=start_method, resilience=resilience
+    ).solve(
+        problem,
+        workers,
+        similarity=similarity,
+        eval_context=Objective(problem, similarity=similarity).context,
+    )
 
 
 def crashing_spec(seed: int = 99) -> WorkerSpec:
@@ -242,3 +285,51 @@ class TestRendering:
         assert "portfolio: 2 workers" in report
         assert " * [0] tabu[0]" in report
         assert "FAILED: ValueError" in report
+
+
+class TestPooledContext:
+    def test_pooled_prebuilt_solve_matches_inline(self, start_method):
+        inline = prebuilt_solve(jobs=1)
+        pooled = prebuilt_solve(jobs=2, start_method=start_method)
+        assert pooled.solution == inline.solution
+        assert pooled.trajectory == inline.trajectory
+
+    def test_matches_inline_after_broken_pool_rebuild(self, start_method):
+        plan = FaultPlan(
+            entries=(FaultSpec(worker=1, attempt=0, kind="break_pool"),)
+        )
+        resilience = ResilienceConfig(
+            retry=RetryPolicy(max_retries=1), pool_rebuilds=1
+        )
+        result = prebuilt_solve(
+            jobs=2, start_method=start_method, resilience=resilience,
+            plan=plan,
+        )
+        assert result.portfolio.pool_rebuilds == 1
+        assert all(outcome.ok for outcome in result.portfolio.workers)
+        inline = prebuilt_solve(jobs=1)
+        assert result.solution == inline.solution
+        assert result.trajectory == inline.trajectory
+
+    def test_matches_inline_after_pool_rotation(self, start_method):
+        # Both slots hang past the deadline, so the hostage pool is
+        # rotated out and the retries run on a fresh pool generation,
+        # which receives the context again.
+        plan = FaultPlan(
+            entries=tuple(
+                FaultSpec(worker=w, attempt=0, kind="hang", seconds=5.0)
+                for w in (0, 1)
+            )
+        )
+        resilience = ResilienceConfig(
+            worker_timeout=1.0, retry=RetryPolicy(max_retries=1)
+        )
+        result = prebuilt_solve(
+            jobs=2, start_method=start_method, resilience=resilience,
+            plan=plan,
+        )
+        assert result.portfolio.pool_rebuilds >= 1
+        assert all(outcome.ok for outcome in result.portfolio.workers)
+        inline = prebuilt_solve(jobs=1)
+        assert result.solution == inline.solution
+        assert result.trajectory == inline.trajectory

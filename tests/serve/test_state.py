@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import threading
+import time
 
 import pytest
 
@@ -20,6 +21,7 @@ from repro.serve import (
     detect_tiers,
     load_universe,
 )
+from repro.serve import state as state_module
 from repro.serve.state import OPTIONAL_TIERS, probe_tier
 
 
@@ -171,6 +173,48 @@ class TestJobManager:
                 manager.result(job.job_id)
         finally:
             manager.close()
+
+    @pytest.mark.parametrize("fails", [False, True])
+    def test_polls_never_see_a_state_before_its_timestamp(
+        self, tmp_path, monkeypatch, fails
+    ):
+        # Every clock read in the job tier first snapshots the poll
+        # payload, so the snapshots land exactly between the runner's
+        # field writes.  A poll must never show "running" without
+        # started_at, or a terminal state without finished_at.
+        submitted = threading.Event()
+        snapshots = []
+        job_id = None
+
+        class SnapshotClock:
+            def __getattr__(self, name):
+                return getattr(time, name)
+
+            def time(self):
+                submitted.wait(5.0)
+                snapshots.append(manager.get(job_id).describe())
+                return time.time()
+
+        def runner(job):
+            if fails:
+                raise ValueError("boom")
+            return {}
+
+        monkeypatch.setattr(state_module, "time", SnapshotClock())
+        manager = JobManager(tmp_path, runner)
+        try:
+            job_id = manager.submit("u", {}).job_id
+            submitted.set()
+        finally:
+            manager.close()
+        final = manager.get(job_id).describe()
+        assert final["state"] == ("failed" if fails else "done")
+        assert snapshots
+        for snapshot in [*snapshots, final]:
+            if snapshot["state"] != "queued":
+                assert snapshot["started_at"] is not None, snapshot
+            if snapshot["state"] in ("done", "failed"):
+                assert snapshot["finished_at"] is not None, snapshot
 
     def test_unknown_job_is_a_404(self, tmp_path):
         manager = JobManager(tmp_path, lambda job: {})

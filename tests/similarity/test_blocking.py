@@ -117,14 +117,6 @@ class TestBlockedEqualsDense:
                 pytest.skip("scipy unavailable")
         np.testing.assert_array_equal(via_numpy.matrix, via_scipy.matrix)
 
-    def test_forced_sparse_storage_is_still_bit_identical(self):
-        names = [f"attr_{i}_{'xyz'[i % 3]}" for i in range(60)] + ["", "a"]
-        measure = NGramJaccard(3)
-        sparse = NameSimilarityMatrix.build(names, measure, storage="sparse")
-        dense = dense_build(names, measure)
-        assert sparse.is_sparse
-        np.testing.assert_array_equal(sparse.matrix, dense.matrix)
-
 
 class TestCandidates:
     def test_no_shared_gram_means_no_candidate(self):

@@ -70,94 +70,3 @@ class TestLookups:
         a = matrix.name_ids(["title"])
         assert matrix.max_cross(a, empty) == 0.0
 
-
-def sparse_names(count: int = 40) -> list[str]:
-    """Random-ish names with little gram overlap → a sparse matrix."""
-    rng = np.random.default_rng(7)
-    letters = np.array(list("abcdefghijklmnopqrstuvwxyz"))
-    return [
-        "".join(rng.choice(letters, size=8)) + str(i) for i in range(count)
-    ]
-
-
-class TestSparseStorage:
-    @pytest.fixture
-    def pair(self):
-        names = sparse_names()
-        sparse = NameSimilarityMatrix.build(
-            names, NGramJaccard(3), storage="sparse"
-        )
-        dense = NameSimilarityMatrix.build(
-            names, NGramJaccard(3), storage="dense"
-        )
-        return sparse, dense
-
-    def test_storage_argument_validated(self):
-        with pytest.raises(ReproError):
-            NameSimilarityMatrix.build(NAMES, NGramJaccard(3), storage="csr")
-
-    def test_small_auto_build_stays_dense(self, matrix):
-        assert not matrix.is_sparse
-
-    def test_forced_sparse_reports_itself(self, pair):
-        sparse, dense = pair
-        assert sparse.is_sparse and not dense.is_sparse
-        assert 0.0 < sparse.density() < 1.0
-        assert sparse.nbytes() < dense.nbytes()
-
-    def test_pair_and_block_agree_with_dense(self, pair):
-        sparse, dense = pair
-        a = sparse.name_ids(sparse.names[:5])
-        b = sparse.name_ids(sparse.names[3:9])
-        np.testing.assert_array_equal(
-            sparse.block(a, b), dense.block(a, b)
-        )
-        assert sparse.pair(a[0], b[-1]) == dense.pair(a[0], b[-1])
-        assert sparse.max_cross(a, b) == dense.max_cross(a, b)
-
-    def test_block_handles_duplicate_ids(self, pair):
-        sparse, dense = pair
-        a = np.array([0, 0, 3], dtype=np.int64)
-        b = np.array([1, 1], dtype=np.int64)
-        np.testing.assert_array_equal(
-            sparse.block(a, b), dense.block(a, b)
-        )
-
-    def test_densified_matrix_matches_and_is_cached(self, pair):
-        sparse, dense = pair
-        assert sparse.is_sparse
-        np.testing.assert_array_equal(sparse.matrix, dense.matrix)
-        assert sparse.matrix is sparse.matrix  # cached after first access
-        assert not sparse.is_sparse  # the dense array is now resident
-
-    def test_pickle_round_trip_stays_sparse(self, pair):
-        import pickle
-
-        sparse, dense = pair
-        copy = pickle.loads(pickle.dumps(sparse))
-        assert copy.is_sparse
-        assert copy.names == sparse.names
-        assert copy.measure_name == sparse.measure_name
-        np.testing.assert_array_equal(copy.matrix, dense.matrix)
-
-    def test_old_dense_pickle_state_still_loads(self, matrix):
-        # Pre-sparse pickles carried {"names", "matrix", "measure_name"}.
-        state = {
-            "names": matrix.names,
-            "matrix": matrix.matrix,
-            "measure_name": matrix.measure_name,
-        }
-        revived = NameSimilarityMatrix.__new__(NameSimilarityMatrix)
-        revived.__setstate__(state)
-        assert not revived.is_sparse
-        np.testing.assert_array_equal(revived.matrix, matrix.matrix)
-
-    def test_extended_from_sparse_matches_cold_build(self, pair):
-        sparse, _ = pair
-        fresh = ["brand_new_name", "another_fresh"]
-        extended = sparse.extended(fresh, NGramJaccard(3))
-        cold = NameSimilarityMatrix.build(
-            list(sparse.names) + fresh, NGramJaccard(3)
-        )
-        assert extended.names == cold.names
-        np.testing.assert_array_equal(extended.matrix, cold.matrix)
