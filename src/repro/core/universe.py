@@ -18,7 +18,7 @@ from .source import Source
 class Universe:
     """An immutable collection of :class:`Source` values with unique ids."""
 
-    __slots__ = ("_sources", "_by_id")
+    __slots__ = ("_sources", "_by_id", "_ids")
 
     def __init__(self, sources: Iterable[Source]):
         source_list = tuple(sources)
@@ -33,6 +33,7 @@ class Universe:
             by_id[source.source_id] = source
         self._sources = source_list
         self._by_id = by_id
+        self._ids = frozenset(by_id)
 
     @property
     def sources(self) -> tuple[Source, ...]:
@@ -42,7 +43,7 @@ class Universe:
     @property
     def source_ids(self) -> frozenset[int]:
         """The set of all source ids."""
-        return frozenset(self._by_id)
+        return self._ids
 
     def source(self, source_id: int) -> Source:
         """Look a source up by id.

@@ -7,8 +7,10 @@ result must be valid on ``C``) and GA constraints ``G`` (``G ⊑ M``).
 
 :class:`MatchOperator` binds a universe, a similarity matrix and the problem
 parameters once, then evaluates arbitrary selections with memoization —
-the operator is a pure function of the selection, so caching by source-set
-is sound and is what makes iterative search affordable.
+the clustering is a pure function of the selection, so caching it by
+source-set is sound and is what makes iterative search affordable.  The
+source constraints ``C`` are applied to each memoized clustering at
+lookup, so a constraint edit keeps the memo.
 """
 
 from __future__ import annotations
@@ -88,9 +90,7 @@ class MatchOperator:
             attr.source_id for seed in self.seeds for attr in seed
         }
         self._implied_ids = frozenset(implied)
-        self.required_source_ids = (
-            frozenset(source_constraints) | self._implied_ids
-        )
+        self.constrain(source_constraints)
         self._cache: OrderedDict[frozenset[int], MatchResult] = (
             OrderedDict()
         )
@@ -128,29 +128,60 @@ class MatchOperator:
         )
 
     def match(self, source_ids: Iterable[int]) -> MatchResult:
-        """Evaluate ``Match(S)`` for the given selection (memoized)."""
+        """Evaluate ``Match(S)`` for the given selection (memoized).
+
+        The memo holds each selection's *ungated* clustering, which
+        depends on θ, β, G, the selected sources and the matrix but never
+        on ``C``.  The constraints gate it here, at lookup: a selection
+        missing a constrained source is NULL before any lookup, and a
+        clustering leaving a constrained source unspanned is the θ-NULL
+        result.
+        """
         telemetry = get_telemetry()
         selection = frozenset(source_ids)
-        cached = self._cache.get(selection)
-        if cached is not None:
+        missing = self.required_source_ids - selection
+        if missing:
+            return MatchResult(
+                None,
+                0.0,
+                reasons=(
+                    f"selection omits constrained source(s) "
+                    f"{sorted(missing)}",
+                ),
+            )
+        result = self._cache.get(selection)
+        if result is not None:
             self._cache.move_to_end(selection)
             self.memo_hits += 1
             telemetry.metrics.counter("match.memo_hits").inc()
-            return cached
-        self.memo_misses += 1
-        telemetry.metrics.counter("match.memo_misses").inc()
-        with get_profiler().phase("matching"), telemetry.span(
-            "match.evaluate", size=len(selection)
-        ) as span:
-            result = self._match_uncached(selection)
-            span.set(null=result.is_null)
-        while self._cache and len(self._cache) >= self._cache_size:
-            # LRU eviction: drop the stalest selection, never the whole
-            # memo — a warm solve loop keeps its hot neighborhoods.
-            self._cache.popitem(last=False)
-            self.memo_evictions += 1
-            telemetry.metrics.counter("match.cache_evictions").inc()
-        self._cache[selection] = result
+        else:
+            self.memo_misses += 1
+            telemetry.metrics.counter("match.memo_misses").inc()
+            with get_profiler().phase("matching"), telemetry.span(
+                "match.evaluate", size=len(selection)
+            ):
+                result = self._cluster(selection)
+            while self._cache and len(self._cache) >= self._cache_size:
+                # LRU eviction: drop the stalest selection, never the whole
+                # memo — a warm solve loop keeps its hot neighborhoods.
+                self._cache.popitem(last=False)
+                self.memo_evictions += 1
+                telemetry.metrics.counter("match.cache_evictions").inc()
+            self._cache[selection] = result
+        constrained_unspanned = (
+            result.unspanned_source_ids & self.required_source_ids
+        )
+        if constrained_unspanned:
+            # M is not valid on C: a constrained source matched nothing.
+            return MatchResult(
+                None,
+                0.0,
+                unspanned_source_ids=result.unspanned_source_ids,
+                reasons=(
+                    "no matching satisfies θ for constrained source(s) "
+                    f"{sorted(constrained_unspanned)}",
+                ),
+            )
         return result
 
     def ga_quality(self, ga: GlobalAttribute) -> float:
@@ -168,128 +199,33 @@ class MatchOperator:
             "evictions": self.memo_evictions,
         }
 
-    # -- delta retargeting ---------------------------------------------------
+    # -- delta re-pointing ---------------------------------------------------
 
-    def retarget_constraints(
-        self, source_constraints: Iterable[int]
-    ) -> dict[str, int]:
-        """Re-point the source constraints ``C`` without losing the memo.
+    def constrain(self, source_constraints: Iterable[int]) -> None:
+        """Re-point the source constraints ``C``, keeping the memo.
 
-        Clustering never looks at ``C`` — only the pre-check (are all
-        constrained sources selected?) and the post-check (did every
-        constrained source span the schema?) do — so a cached result can
-        be *rewritten* for new constraints instead of recomputed:
-
-        * a selection now missing a constrained source becomes the exact
-          NULL result the cold path would produce;
-        * a cached schema whose recorded unspanned set hits the new
-          constraints becomes the exact θ-NULL result, and one that does
-          not keeps its schema and quality verbatim;
-        * a cached NULL that would now need the schema (its selection
-          satisfies the new constraints) is dropped and re-scored on
-          demand.
-
-        θ, β and the GA constraints must be unchanged (they shape the
-        clustering itself); the session's delta planner rebuilds the
-        operator when they move.  Returns kept/rederived/dropped entry
-        counts.
+        The memo never reads ``C`` — :meth:`match` applies it at lookup.
         """
-        old_required = self.required_source_ids
-        new_required = (
+        self.required_source_ids = (
             frozenset(source_constraints) | self._implied_ids
         )
-        stats = {"kept": 0, "rederived": 0, "dropped": 0}
-        if new_required == old_required:
-            stats["kept"] = len(self._cache)
-            return stats
-        self.required_source_ids = new_required
-        fresh: OrderedDict[frozenset[int], MatchResult] = OrderedDict()
-        for selection, result in self._cache.items():
-            rewritten = self._retargeted_result(
-                selection, result, old_required, new_required
-            )
-            if rewritten is None:
-                stats["dropped"] += 1
-                continue
-            stats["kept" if rewritten is result else "rederived"] += 1
-            fresh[selection] = rewritten
-        self._cache = fresh
-        metrics = get_telemetry().metrics
-        for key, value in stats.items():
-            if value:
-                metrics.counter(f"match.retarget.{key}").inc(value)
-        return stats
-
-    @staticmethod
-    def _retargeted_result(
-        selection: frozenset[int],
-        result: MatchResult,
-        old_required: frozenset[int],
-        new_required: frozenset[int],
-    ) -> MatchResult | None:
-        """``result`` rewritten for new constraints, or None to drop it."""
-        missing = new_required - selection
-        if missing:
-            rewritten = MatchResult(
-                None,
-                0.0,
-                reasons=(
-                    f"selection omits constrained source(s) "
-                    f"{sorted(missing)}",
-                ),
-            )
-            return result if rewritten == result else rewritten
-        if result.schema is not None:
-            constrained_unspanned = (
-                result.unspanned_source_ids & new_required
-            )
-            if not constrained_unspanned:
-                return result
-            return MatchResult(
-                None,
-                0.0,
-                unspanned_source_ids=result.unspanned_source_ids,
-                reasons=(
-                    "no matching satisfies θ for constrained source(s) "
-                    f"{sorted(constrained_unspanned)}",
-                ),
-            )
-        if old_required - selection:
-            # NULL because constrained sources were absent: the selection
-            # was never clustered, so there is no schema or unspanned
-            # record to rewrite from.
-            return None
-        constrained_unspanned = result.unspanned_source_ids & new_required
-        if constrained_unspanned:
-            rewritten = MatchResult(
-                None,
-                0.0,
-                unspanned_source_ids=result.unspanned_source_ids,
-                reasons=(
-                    "no matching satisfies θ for constrained source(s) "
-                    f"{sorted(constrained_unspanned)}",
-                ),
-            )
-            return result if rewritten == result else rewritten
-        return None
 
     def retarget_universe(
         self,
         universe: Universe,
         similarity: SimilarityMeasure | NameSimilarityMatrix | None,
         removed_ids: Iterable[int] = (),
-    ) -> dict[str, int]:
+    ) -> int:
         """Re-point the operator at an edited universe, keeping the memo.
 
         ``Match(S)`` reads only the *selected* sources, so adding a source
-        invalidates nothing: every cached selection still evaluates
-        identically under the grown universe.  Removing sources drops
-        exactly the entries whose selection touches a removed id.  The
-        similarity matrix may only *grow* its vocabulary (appended names
-        keep existing ids stable — see
-        :meth:`~repro.similarity.NameSimilarityMatrix.extended`); pass
-        the extended matrix here.  Constraints must not reference removed
-        sources — release them first.
+        invalidates nothing.  Removing sources drops the entries whose
+        selection touches a removed id, so a different source later added
+        under that id is never served a stale clustering.  The similarity
+        matrix may only *grow* its vocabulary (see
+        :meth:`~repro.similarity.NameSimilarityMatrix.extended`).
+        Constraints must not reference removed sources — release them
+        first.  Returns the number of entries dropped.
         """
         removed = frozenset(removed_ids)
         conflicted = self.required_source_ids & removed
@@ -300,33 +236,17 @@ class MatchOperator:
             )
         self.universe = universe
         self.matrix = _resolve_matrix(universe, similarity)
-        stats = {"kept": len(self._cache), "dropped": 0}
-        if removed:
-            fresh: OrderedDict[frozenset[int], MatchResult] = OrderedDict()
-            for selection, result in self._cache.items():
-                if selection & removed:
-                    stats["dropped"] += 1
-                else:
-                    fresh[selection] = result
-            stats["kept"] = len(fresh)
-            self._cache = fresh
-        metrics = get_telemetry().metrics
-        metrics.counter("match.retarget.universe").inc()
-        if stats["dropped"]:
-            metrics.counter("match.retarget.dropped").inc(stats["dropped"])
-        return stats
+        stale = [
+            selection for selection in self._cache if selection & removed
+        ] if removed else []
+        for selection in stale:
+            del self._cache[selection]
+        return len(stale)
 
     # -- internals ----------------------------------------------------------
 
-    def _match_uncached(self, selection: frozenset[int]) -> MatchResult:
-        reasons: list[str] = []
-        missing = self.required_source_ids - selection
-        if missing:
-            reasons.append(
-                f"selection omits constrained source(s) {sorted(missing)}"
-            )
-            return MatchResult(None, 0.0, reasons=tuple(reasons))
-
+    def _cluster(self, selection: frozenset[int]) -> MatchResult:
+        """The ungated ``Match(S)``: cluster, then score the schema."""
         free_attrs = self._free_attributes(selection)
         clusters = greedy_constrained_clustering(
             free_attrs,
@@ -342,20 +262,7 @@ class MatchOperator:
             if cluster.keep or len(cluster) >= self.beta
         ]
         schema = MediatedSchema(gas)
-
         unspanned = schema.unspanned_source_ids(selection)
-        constrained_unspanned = unspanned & self.required_source_ids
-        if constrained_unspanned:
-            # M is not valid on C: a constrained source matched nothing.
-            reasons.append(
-                "no matching satisfies θ for constrained source(s) "
-                f"{sorted(constrained_unspanned)}"
-            )
-            return MatchResult(
-                None, 0.0, unspanned_source_ids=unspanned,
-                reasons=tuple(reasons),
-            )
-
         quality = self._schema_quality(schema)
         return MatchResult(schema, quality, unspanned_source_ids=unspanned)
 

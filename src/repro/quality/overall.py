@@ -3,9 +3,9 @@
 :class:`Objective` wires a :class:`~repro.core.Problem` to concrete QEF
 implementations and evaluates selections for the optimizers:
 
-* the matching operator is invoked once per selection (memoized) and its
-  result feeds both ``F1`` and the feasibility check — the mediated schema
-  must be valid on the constrained sources (the paper's NULL result);
+* the matching operator (memoized itself) feeds both ``F1`` and the
+  feasibility check — the mediated schema must be valid on the
+  constrained sources (the paper's NULL result);
 * QEFs with zero weight are skipped;
 * infeasible selections receive a discounted *objective* below their raw
   quality so metaheuristics can traverse them without ever preferring them
@@ -21,15 +21,21 @@ paths share :meth:`_assemble`, so a batch-scored :class:`Solution` is
 bit-identical to the scalar one (property-tested in
 ``tests/quality/test_batch_eval.py``).
 
-The selection memo is shared by both paths and uses LRU eviction: when
-full, the least-recently-used entry is dropped (counted by the
-``objective.cache_evictions`` metric) instead of flushing the whole memo.
+The selection memo is shared by both paths.  It maps a selection to its
+QEF values ``F2…Fn`` only — what they depend on is the selected sources
+and the universe-wide denominators — and every lookup re-assembles the
+:class:`Solution` under the current weights, budget and match operator.
+So the memo survives every edit but a change to the universe or the QEF
+set.  It uses LRU eviction: when full, the least-recently-used entry is
+dropped (counted by the ``objective.cache_evictions`` metric) instead of
+flushing the whole memo.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from collections.abc import Iterable, Sequence
+from contextlib import nullcontext
 
 from ..core import (
     CARDINALITY,
@@ -58,7 +64,13 @@ INFEASIBLE_PENALTY = 0.25
 
 
 class Objective:
-    """Memoizing evaluator of ``Q(S)`` for a fixed problem."""
+    """Memoizing evaluator of ``Q(S)`` for one universe and QEF set.
+
+    ``problem`` and ``match_operator`` may be re-pointed at an edited
+    problem over the same universe and QEFs (the session's delta
+    pipeline does); the memo stays valid because it holds QEF values
+    only.
+    """
 
     def __init__(
         self,
@@ -76,7 +88,7 @@ class Objective:
         if match_operator is not None:
             # Reuse a pre-built (already warmed) operator.  The caller is
             # responsible for it matching the problem's θ/β/constraints —
-            # the session layer keys its operator cache on exactly those.
+            # the session's delta planner rebuilds or re-points it.
             self.match_operator = match_operator
         else:
             self.match_operator = MatchOperator.for_problem(
@@ -97,7 +109,9 @@ class Objective:
             )
         else:
             self._context = EvalContext.compile(problem, self._qefs)
-        self._cache: OrderedDict[frozenset[int], Solution] = OrderedDict()
+        self._cache: OrderedDict[frozenset[int], dict[str, float]] = (
+            OrderedDict()
+        )
         self._cache_size = cache_size
         self._evaluations = 0
         self._cache_hits = 0
@@ -143,91 +157,23 @@ class Objective:
         """The problem's universe (convenience for optimizers)."""
         return self.problem.universe
 
-    def reweigh(self, problem: Problem) -> dict[str, int]:
-        """Re-point at a weights-only edit, carrying the memo across.
-
-        The QEF values of a selection do not depend on the weights — only
-        the weighted sum does — and every cached :class:`Solution` already
-        carries its per-QEF components in ``qef_scores``.  So a weight
-        change re-derives each cached entry by running the same weighting
-        loop as :meth:`_assemble` over the cached components: identical
-        values folded in the identical ``weights.items()`` order means the
-        re-derived quality is bit-identical to a cold re-evaluation.
-        Feasibility and its reasons never depend on weights either, so
-        they carry over, as does the infeasibility discount.
-
-        Entries missing a component some newly non-zero weight now needs
-        (the QEF was skipped at weight 0 when the entry was scored) are
-        dropped and re-scored on demand.  The caller must change *only*
-        the weights — same universe, constraints, θ/β, budget and QEF
-        set; the session's delta planner guarantees this.  Returns
-        kept/dropped entry counts.
-        """
-        weights = problem.weights
-        self.problem = problem
-        stats = {"kept": 0, "dropped": 0}
-        fresh: OrderedDict[frozenset[int], Solution] = OrderedDict()
-        for selection, solution in self._cache.items():
-            reweighed = self._reweighed(solution, weights)
-            if reweighed is None:
-                stats["dropped"] += 1
-            else:
-                fresh[selection] = reweighed
-                stats["kept"] += 1
-        self._cache = fresh
-        metrics = get_telemetry().metrics
-        metrics.counter("objective.memo_reweighed").inc(stats["kept"])
-        if stats["dropped"]:
-            metrics.counter("objective.memo_reweigh_drops").inc(
-                stats["dropped"]
-            )
-        return stats
-
-    @staticmethod
-    def _reweighed(solution: Solution, weights) -> Solution | None:
-        """``solution`` under new weights, or None when a score is missing."""
-        cached = solution.qef_scores
-        scores: dict[str, float] = {}
-        quality = 0.0
-        # Mirror _assemble exactly: MATCHING always participates (even at
-        # weight 0), other zero-weight QEFs are skipped.
-        for name, weight in weights.items():
-            if name != MATCHING and weight == 0.0:
-                continue
-            if name not in cached:
-                return None
-            value = cached[name]
-            scores[name] = value
-            quality += weight * value
-        objective = (
-            quality if solution.feasible else INFEASIBLE_PENALTY * quality
-        )
-        return Solution(
-            selected=solution.selected,
-            schema=solution.schema,
-            objective=objective,
-            quality=quality,
-            qef_scores=scores,
-            feasible=solution.feasible,
-            infeasibility=solution.infeasibility,
-        )
-
     def evaluate(self, source_ids: Iterable[int]) -> Solution:
         """Evaluate a selection, returning a :class:`~repro.core.Solution`."""
         telemetry = get_telemetry()
         selection = frozenset(source_ids)
-        cached = self._cache_lookup(selection)
-        if cached is not None:
+        row = self._cache_lookup(selection)
+        if row is not None:
             self._cache_hits += 1
             telemetry.metrics.counter("objective.cache_hits").inc()
-            return cached
+            return self._assemble(selection, row)
         telemetry.metrics.counter("objective.evaluations").inc()
+        row = {}
         with telemetry.span(
             "objective.evaluate", size=len(selection)
         ) as span:
-            solution = self._evaluate_uncached(selection)
+            solution = self._assemble(selection, row, fresh=True)
             span.set(feasible=solution.feasible)
-        self._cache_store(selection, solution)
+        self._cache_store(selection, row)
         self._evaluations += 1
         return solution
 
@@ -239,11 +185,13 @@ class Objective:
         Order-preserving: ``result[i]`` corresponds to ``selections[i]``.
         The memo is consulted first (duplicates within the batch count as
         cache hits, exactly as repeated :meth:`evaluate` calls would);
-        distinct uncached selections are scored together — one masked
-        OR-reduction for ``D(S)``, vectorized cardinality sums, and the
-        precompiled characteristic matrix — then assembled per candidate
-        by the same code path as the scalar evaluator, so every
-        :class:`Solution` field is bit-identical to :meth:`evaluate`.
+        the QEF values the rows still lack — every value of an uncached
+        selection — are scored together, one kernel call per set of
+        missing names: a masked OR-reduction for ``D(S)``, vectorized
+        cardinality sums, and the precompiled characteristic matrix.
+        Each selection is then assembled by the same code path as the
+        scalar evaluator, so every :class:`Solution` field is
+        bit-identical to :meth:`evaluate`.
         """
         telemetry = get_telemetry()
         batch = [frozenset(selection) for selection in selections]
@@ -251,45 +199,60 @@ class Objective:
         telemetry.metrics.counter("objective.batch_candidates").inc(
             len(batch)
         )
-        results: list[Solution | None] = [None] * len(batch)
-        pending: dict[frozenset[int], list[int]] = {}
-        for position, selection in enumerate(batch):
-            cached = self._cache_lookup(selection)
-            if cached is not None:
-                self._cache_hits += 1
-                telemetry.metrics.counter("objective.cache_hits").inc()
-                results[position] = cached
-            elif selection in pending:
-                # A duplicate inside the batch: the first occurrence will
-                # populate the memo, so this one is a cache hit — the same
-                # accounting as two consecutive evaluate() calls.
-                self._cache_hits += 1
-                telemetry.metrics.counter("objective.cache_hits").inc()
-                pending[selection].append(position)
+        rows: dict[frozenset[int], dict[str, float]] = {}
+        fresh: set[frozenset[int]] = set()
+        for selection in batch:
+            row = rows.get(selection)
+            if row is None:
+                row = self._cache_lookup(selection)
+            if row is None:
+                rows[selection] = {}
+                fresh.add(selection)
             else:
-                pending[selection] = [position]
-        if pending:
-            with telemetry.span(
+                # A cached selection, or a duplicate inside the batch: the
+                # same accounting as two consecutive evaluate() calls.
+                self._cache_hits += 1
+                telemetry.metrics.counter("objective.cache_hits").inc()
+                rows[selection] = row
+        span = (
+            telemetry.span(
                 "objective.batch_evaluate",
                 size=len(batch),
-                distinct=len(pending),
-            ):
-                self._evaluate_pending(pending, results, telemetry)
-        return results
+                distinct=len(fresh),
+            )
+            if fresh
+            else nullcontext()
+        )
+        with span:
+            self._score_missing(rows)
+            solutions = {}
+            for selection, row in rows.items():
+                if selection in fresh:
+                    telemetry.metrics.counter("objective.evaluations").inc()
+                    solutions[selection] = self._assemble(
+                        selection, row, fresh=True
+                    )
+                    self._cache_store(selection, row)
+                    self._evaluations += 1
+                else:
+                    solutions[selection] = self._assemble(selection, row)
+        return [solutions[selection] for selection in batch]
 
     def __call__(self, source_ids: Iterable[int]) -> Solution:
         return self.evaluate(source_ids)
 
     # -- memo ---------------------------------------------------------------
 
-    def _cache_lookup(self, selection: frozenset[int]) -> Solution | None:
+    def _cache_lookup(
+        self, selection: frozenset[int]
+    ) -> dict[str, float] | None:
         cached = self._cache.get(selection)
         if cached is not None:
             self._cache.move_to_end(selection)
         return cached
 
     def _cache_store(
-        self, selection: frozenset[int], solution: Solution
+        self, selection: frozenset[int], row: dict[str, float]
     ) -> None:
         if self._cache and len(self._cache) >= self._cache_size:
             metrics = get_telemetry().metrics
@@ -297,7 +260,7 @@ class Objective:
                 self._cache.popitem(last=False)
                 self._cache_evictions += 1
                 metrics.counter("objective.cache_evictions").inc()
-        self._cache[selection] = solution
+        self._cache[selection] = row
 
     # -- internals ----------------------------------------------------------
 
@@ -322,56 +285,30 @@ class Objective:
             )
         return qefs
 
-    def _evaluate_pending(
-        self,
-        pending: dict[frozenset[int], list[int]],
-        results: list[Solution | None],
-        telemetry,
+    def _score_missing(
+        self, rows: dict[frozenset[int], dict[str, float]]
     ) -> None:
-        """Score the distinct uncached selections of one batch."""
+        """Fill each row's missing weighted QEF values, vectorized.
+
+        Selections lacking the same names are scored in one kernel call.
+        Selections with unknown source ids are left to :meth:`_assemble`.
+        """
         known_ids = self.problem.universe.source_ids
-        vectorizable = [
-            selection for selection in pending if selection <= known_ids
-        ]
         names = [
             name
             for name, weight in self.problem.weights.items()
             if name != MATCHING and weight != 0.0
         ]
-        rows: dict[frozenset[int], dict[str, float]] = {}
-        if vectorizable:
-            scored = self._context.score_batch(vectorizable, names)
+        groups: dict[tuple[str, ...], list[frozenset[int]]] = {}
+        for selection, row in rows.items():
+            missing = tuple(name for name in names if name not in row)
+            if missing and selection <= known_ids:
+                groups.setdefault(missing, []).append(selection)
+        for missing, group in groups.items():
+            scored = self._context.score_batch(group, list(missing))
             for name, values in scored.items():
-                for selection, value in zip(vectorizable, values):
-                    rows.setdefault(selection, {})[name] = value
-        for selection, positions in pending.items():
-            telemetry.metrics.counter("objective.evaluations").inc()
-            if selection <= known_ids:
-                solution = self._assemble(selection, rows.get(selection, {}))
-            else:
-                # Unknown source ids: route through the scalar evaluator
-                # for its exact early-return Solution.
-                telemetry.metrics.counter("objective.batch_fallbacks").inc()
-                solution = self._evaluate_uncached(selection)
-            self._cache_store(selection, solution)
-            self._evaluations += 1
-            for position in positions:
-                results[position] = solution
-
-    def _evaluate_uncached(self, selection: frozenset[int]) -> Solution:
-        unknown = selection - self.problem.universe.source_ids
-        if unknown:
-            reasons = self._base_reasons(selection)
-            reasons.append(f"unknown source ids {sorted(unknown)}")
-            return Solution(
-                selected=selection,
-                schema=None,
-                objective=float("-inf"),
-                quality=0.0,
-                feasible=False,
-                infeasibility=tuple(reasons),
-            )
-        return self._assemble(selection, {})
+                for selection, value in zip(group, values):
+                    rows[selection][name] = value
 
     def _base_reasons(self, selection: frozenset[int]) -> list[str]:
         reasons: list[str] = []
@@ -385,18 +322,39 @@ class Objective:
         return reasons
 
     def _assemble(
-        self, selection: frozenset[int], vector_row: dict[str, float]
+        self,
+        selection: frozenset[int],
+        row: dict[str, float],
+        fresh: bool = False,
     ) -> Solution:
-        """Build a :class:`Solution` from (possibly pre-scored) QEF values.
+        """Build a :class:`Solution` from a selection's memo row.
 
-        ``vector_row`` holds QEF values already computed by the columnar
-        kernels; anything missing is scored by the scalar QEF right here.
-        The scalar evaluator calls this with an empty row, so both paths
-        run the identical weighting loop in the identical order.
+        ``row`` holds QEF values already scored, by the columnar kernels
+        or by an earlier assembly.  A weighted QEF missing from it (the
+        row was scored while that QEF had weight 0) is scored by the
+        scalar QEF right here and added to the row.  ``F1`` comes from
+        :meth:`MatchOperator.match`, the budget and constraint reasons
+        from the current problem, so a row stays valid across every edit
+        that keeps the universe and the QEF set.  ``fresh`` marks a memo
+        miss, the only assembly that is logged as a
+        :class:`~repro.explain.events.SelectionScored` event.
         """
         problem = self.problem
         telemetry = get_telemetry()
         reasons = self._base_reasons(selection)
+        known_ids = problem.universe.source_ids
+        if not selection <= known_ids:
+            reasons.append(
+                f"unknown source ids {sorted(selection - known_ids)}"
+            )
+            return Solution(
+                selected=selection,
+                schema=None,
+                objective=float("-inf"),
+                quality=0.0,
+                feasible=False,
+                infeasibility=tuple(reasons),
+            )
 
         match = self.match_operator.match(selection)
         if match.is_null:
@@ -410,8 +368,8 @@ class Objective:
                 value = match.quality
             elif weight == 0.0:
                 continue
-            elif name in vector_row:
-                value = vector_row[name]
+            elif name in row:
+                value = row[name]
             else:
                 if sources is None:
                     sources = problem.universe.select(selection)
@@ -419,32 +377,32 @@ class Objective:
                 # exporter reports where evaluation time actually goes.
                 with telemetry.span("qef." + name, size=len(sources)):
                     value = self._qefs[name](sources)
+                row[name] = value
             scores[name] = value
             quality += weight * value
 
         feasible = not reasons
-        if feasible:
-            objective = quality
-        else:
-            objective = INFEASIBLE_PENALTY * quality
-            telemetry.metrics.counter(
-                "objective.infeasible_discounts"
-            ).inc()
-        log = get_event_log()
-        if log.enabled:
-            log.emit(
-                SelectionScored(
-                    selected=tuple(sorted(selection)),
-                    scores=dict(scores),
-                    weights={
-                        name: problem.weights[name] for name in scores
-                    },
-                    quality=quality,
-                    objective=objective,
-                    feasible=feasible,
-                    reasons=tuple(reasons),
+        objective = quality if feasible else INFEASIBLE_PENALTY * quality
+        if fresh:
+            if not feasible:
+                telemetry.metrics.counter(
+                    "objective.infeasible_discounts"
+                ).inc()
+            log = get_event_log()
+            if log.enabled:
+                log.emit(
+                    SelectionScored(
+                        selected=tuple(sorted(selection)),
+                        scores=dict(scores),
+                        weights={
+                            name: problem.weights[name] for name in scores
+                        },
+                        quality=quality,
+                        objective=objective,
+                        feasible=feasible,
+                        reasons=tuple(reasons),
+                    )
                 )
-            )
         return Solution(
             selected=selection,
             schema=match.schema,

@@ -59,6 +59,8 @@ class OptimizerConfig:
 class SearchStats:
     """Bookkeeping about one optimizer run.
 
+    ``evaluations`` counts the distinct selections this run scored (its
+    ``Q(S)`` memo misses; the memo may outlive one run).
     ``match_memo_hits``/``match_memo_misses`` count this run's traffic on
     the match operator's selection memo — the reason a warm re-solve in a
     feedback loop is faster than the first solve.  They default to 0 for
@@ -122,6 +124,7 @@ class Optimizer(ABC):
         """
         telemetry = get_telemetry()
         operator = getattr(objective, "match_operator", None)
+        evaluations_before = getattr(objective, "evaluations", 0)
         hits_before = getattr(operator, "memo_hits", 0)
         misses_before = getattr(operator, "memo_misses", 0)
         with get_profiler().phase("search"), telemetry.span(
@@ -134,6 +137,7 @@ class Optimizer(ABC):
             )
         stats = replace(
             result.stats,
+            evaluations=result.stats.evaluations - evaluations_before,
             match_memo_hits=getattr(operator, "memo_hits", 0) - hits_before,
             match_memo_misses=(
                 getattr(operator, "memo_misses", 0) - misses_before

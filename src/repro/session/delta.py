@@ -28,18 +28,25 @@ the action per cached layer):
 ==================  ==========  ================  ===========  ============
 edit                similarity  match operator    EvalContext  Q(S) memo
 ==================  ==========  ================  ===========  ============
-weights only        reuse       reuse (memo too)  reuse        reweigh
-θ or β              reuse       rebuild           reuse        drop
-source constraints  reuse       retarget memo     reuse        drop
-GA constraints      reuse       rebuild           reuse        drop
-max_sources         reuse       reuse (memo too)  reuse        drop
+weights only        reuse       reuse (memo too)  reuse        keep
+θ or β              reuse       rebuild           reuse        keep
+source constraints  reuse       reuse (memo too)  reuse        keep
+GA constraints      reuse       rebuild           reuse        keep
+max_sources         reuse       reuse (memo too)  reuse        keep
 add source          extend      keep memo         patch rows   drop
 remove source       reuse       prune memo        patch rows   drop
 add/remove QEF      reuse       reuse (memo too)  patch        drop
 ==================  ==========  ================  ===========  ============
 
+No cell rewrites a memo: each memo holds only what its value depends on.
+The match memo keeps each selection's *ungated* clustering (θ, β, G, the
+selected sources) and applies ``C`` at lookup; the ``Q(S)`` memo keeps
+each selection's QEF values ``F2…Fn`` (the selected sources, the universe
+and the QEF set) and weighs them, with ``F1`` and the budget, at lookup.
+
 Every cell is justified by a bit-identity argument local to the layer (see
-the ``retarget_*``/``reweigh``/``patched`` docstrings) and the whole table
+``MatchOperator.match``, ``Objective._assemble``, ``retarget_universe`` and
+``EvalContext.patched``) and the whole table
 is enforced end to end by the hypothesis property test: random edit
 sequences, delta solve ≡ cold solve, seed for seed.
 """
@@ -127,14 +134,13 @@ class DeltaPlan:
     context:
         ``"reuse"`` | ``"patch"`` | ``"rebuild"`` for the compiled
         :class:`~repro.quality.compiled.EvalContext`.
+        The objective and its ``Q(S)`` memo survive exactly when the
+        context is reused.
     operator:
-        The match-operator actions to apply in order: empty (reuse as
-        is), ``("constraints",)`` / ``("universe",)`` /
-        ``("constraints", "universe")`` (memo-preserving retargets), or
-        ``("rebuild",)``.
-    memo:
-        ``"keep"`` | ``"reweigh"`` | ``"drop"`` for the objective's
-        selection memo.
+        ``("rebuild",)`` (θ, β or G moved: a new operator, empty memo),
+        ``("universe",)`` (re-point at the edited universe, pruning
+        removed ids from the memo) or empty (reuse as is).  The source
+        constraints are re-pointed on every path but a rebuild.
     added_source_ids / removed_source_ids:
         The universe diff, when any.
     edits:
@@ -144,7 +150,6 @@ class DeltaPlan:
     path: str
     context: str
     operator: tuple[str, ...]
-    memo: str
     added_source_ids: frozenset[int] = frozenset()
     removed_source_ids: frozenset[int] = frozenset()
     edits: tuple[Edit, ...] = ()
@@ -153,8 +158,7 @@ class DeltaPlan:
         """One-line summary for logs and telemetry spans."""
         operator = "+".join(self.operator) if self.operator else "reuse"
         return (
-            f"path={self.path} context={self.context} "
-            f"operator={operator} memo={self.memo}"
+            f"path={self.path} context={self.context} operator={operator}"
         )
 
 
@@ -163,7 +167,6 @@ def _cold_plan(edits: tuple[Edit, ...]) -> DeltaPlan:
         path="cold",
         context="rebuild",
         operator=("rebuild",),
-        memo="drop",
         edits=edits,
     )
 
@@ -218,41 +221,28 @@ def plan_delta(
     budget_changed = current.max_sources != previous.max_sources
 
     # Match operator: θ/β/G shape the clustering itself — rebuild.  The
-    # universe and C only gate results around it — memo-preserving
-    # retargets.  Constraints first: a release must leave the required
-    # set before its source may be removed from the universe.
+    # universe only bounds which selections exist — re-point and prune.
     if shape_changed or ga_changed:
         operator: tuple[str, ...] = ("rebuild",)
+    elif universe_changed:
+        operator = ("universe",)
     else:
-        steps = []
-        if constraints_changed:
-            steps.append("constraints")
-        if universe_changed:
-            steps.append("universe")
-        operator = tuple(steps)
+        operator = ()
 
     context = "patch" if (universe_changed or qefs_changed) else "reuse"
-
-    # The Q(S) memo embeds match results (feasibility, schema, F1), the
-    # budget (reasons) and every QEF value — it survives only edits that
-    # touch none of those: weight changes (reweigh) or nothing (keep).
-    matching_same = not (
-        shape_changed or ga_changed or constraints_changed or universe_changed
+    changed = (
+        universe_changed
+        or qefs_changed
+        or shape_changed
+        or ga_changed
+        or constraints_changed
+        or weights_changed
+        or budget_changed
     )
-    if matching_same and not qefs_changed and not budget_changed:
-        memo = "reweigh" if weights_changed else "keep"
-    else:
-        memo = "drop"
-
-    if memo == "keep" and context == "reuse" and not operator:
-        path = "noop"
-    else:
-        path = "delta"
     return DeltaPlan(
-        path=path,
+        path="delta" if changed else "noop",
         context=context,
         operator=operator,
-        memo=memo,
         added_source_ids=frozenset(added),
         removed_source_ids=frozenset(removed),
         edits=edits,

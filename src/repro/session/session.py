@@ -502,9 +502,11 @@ class Session:
 
         The similarity vocabulary is extended (new rows only, existing
         name ids stay valid), sketch rows of existing sources are spliced
-        into the recompiled evaluation context, and the match-operator
-        memo survives wholesale — a cached result never reads sources
-        outside its selection.  See docs/incremental.md.
+        into the recompiled evaluation context, and the match memo
+        survives wholesale — it is keyed by selection and a clustering
+        never reads sources outside it.  The ``Q(S)`` memo is dropped:
+        its coverage values divide by universe-wide totals.  See
+        docs/incremental.md.
         """
         if source.source_id in self.universe.source_ids:
             raise ConstraintError(
@@ -986,73 +988,47 @@ class Session:
                 context=shared,
             )
 
-        # Match operator: rebuild, retarget in place, or reuse verbatim.
-        # Constraints retarget first — a released source must leave the
-        # required set before a universe retarget may remove it.
+        # Match operator: rebuild it, or re-point C (applied at lookup, so
+        # the memo holds) and, after a universe edit, the universe.
         operator = previous.match_operator
         if plan.operator == ("rebuild",):
             operator = self._build_operator(problem)
             metrics.counter("session.delta.operator_rebuilt").inc()
-        elif plan.operator:
-            for step in plan.operator:
-                if step == "constraints":
-                    stats = operator.retarget_constraints(
-                        problem.source_constraints
-                    )
-                    metrics.counter(
-                        "session.delta.match_memo_rederived"
-                    ).inc(stats["rederived"])
-                else:
-                    stats = operator.retarget_universe(
-                        problem.universe,
-                        self._matrix,
-                        removed_ids=plan.removed_source_ids,
-                    )
-                    metrics.counter(
-                        "session.delta.operator_universe_patched"
-                    ).inc()
-                metrics.counter("session.delta.match_memo_dropped").inc(
-                    stats["dropped"]
-                )
-            metrics.counter("session.delta.operator_retargeted").inc()
         else:
-            metrics.counter("session.delta.operator_reused").inc()
+            operator.constrain(problem.source_constraints)
+            if plan.operator == ("universe",):
+                dropped = operator.retarget_universe(
+                    problem.universe,
+                    self._matrix,
+                    removed_ids=plan.removed_source_ids,
+                )
+                metrics.counter(
+                    "session.delta.operator_universe_patched"
+                ).inc()
+                metrics.counter("session.delta.match_memo_dropped").inc(
+                    dropped
+                )
+            else:
+                metrics.counter("session.delta.operator_reused").inc()
 
-        # Objective memo: carry it (noop), reweigh it in place
-        # (weights-only), or drop it into a fresh objective whose
-        # compiled context is reused or row-spliced.
-        if plan.memo == "keep":
-            metrics.counter("session.delta.memo_kept").inc(
-                previous.cache_info()["entries"]
-            )
+        # Objective: its memo holds QEF values, which read only the
+        # universe and the QEF set — keep it while the context is reused,
+        # weighed at lookup under the new problem.  Otherwise start an
+        # empty memo over a row-spliced context.
+        if plan.context == "reuse":
+            previous.problem = problem
+            previous.match_operator = operator
             metrics.counter("session.delta.context_reused").inc()
             return previous
-        if plan.memo == "reweigh":
-            stats = previous.reweigh(problem)
-            metrics.counter("session.delta.memo_reweighed").inc(
-                stats["kept"]
-            )
-            metrics.counter("session.delta.memo_dropped").inc(
-                stats["dropped"]
-            )
-            metrics.counter("session.delta.context_reused").inc()
-            return previous
-
         metrics.counter("session.delta.memo_dropped").inc(
             previous.cache_info()["entries"]
         )
-        kwargs: dict = {}
-        if plan.context == "reuse":
-            kwargs["context"] = previous.context
-            metrics.counter("session.delta.context_reused").inc()
-        else:
-            kwargs["patch_context_from"] = previous.context
-            metrics.counter("session.delta.context_patched").inc()
+        metrics.counter("session.delta.context_patched").inc()
         return Objective(
             problem,
             similarity=self._matrix,
             match_operator=operator,
-            **kwargs,
+            patch_context_from=previous.context,
         )
 
     def _build_operator(self, problem: Problem):

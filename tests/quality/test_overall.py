@@ -162,10 +162,12 @@ class TestFeasibility:
 
 
 class TestCaching:
-    def test_cache_returns_identical_object(self, universe):
+    def test_cache_returns_equal_solution(self, universe):
+        # The memo holds QEF values; each hit re-assembles the Solution.
         objective = Objective(problem_for(universe))
-        assert objective.evaluate({0, 1}) is objective.evaluate({1, 0})
+        assert objective.evaluate({0, 1}) == objective.evaluate({1, 0})
         assert objective.evaluations == 1
+        assert objective.cache_hits == 1
 
     def test_distinct_selections_counted(self, universe):
         objective = Objective(problem_for(universe))

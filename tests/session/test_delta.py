@@ -73,7 +73,6 @@ class TestPlanDelta:
         assert plan.path == "cold"
         assert plan.operator == ("rebuild",)
         assert plan.context == "rebuild"
-        assert plan.memo == "drop"
 
     def test_unchanged_problem_is_noop(self, universe):
         session = session_for(universe)
@@ -83,17 +82,16 @@ class TestPlanDelta:
         assert plan.path == "noop"
         assert plan.operator == ()
         assert plan.context == "reuse"
-        assert plan.memo == "keep"
 
     def test_weights_only_reweighs_memo(self, universe):
         session = session_for(universe)
         before = session.problem()
         session.emphasize("cardinality", 0.6)
         plan = plan_delta(before, session.problem())
+        # The Q(S) memo is kept and weighed at lookup: nothing to rebuild.
         assert plan.path == "delta"
         assert plan.operator == ()
         assert plan.context == "reuse"
-        assert plan.memo == "reweigh"
 
     @pytest.mark.parametrize("edit", ["theta", "beta"])
     def test_shape_change_rebuilds_operator(self, universe, edit):
@@ -106,16 +104,16 @@ class TestPlanDelta:
         plan = plan_delta(before, session.problem())
         assert plan.operator == ("rebuild",)
         assert plan.context == "reuse"
-        assert plan.memo == "drop"
 
     def test_source_constraints_retarget(self, universe):
+        # C gates match results at lookup: the operator is only re-pointed.
         session = session_for(universe)
         before = session.problem()
         session.require_source(0)
         plan = plan_delta(before, session.problem())
-        assert plan.operator == ("constraints",)
+        assert plan.path == "delta"
+        assert plan.operator == ()
         assert plan.context == "reuse"
-        assert plan.memo == "drop"
 
     def test_ga_constraints_rebuild(self, universe):
         session = session_for(universe)
@@ -123,16 +121,16 @@ class TestPlanDelta:
         session.require_match([(0, "author"), (1, "author")])
         plan = plan_delta(before, session.problem())
         assert plan.operator == ("rebuild",)
-        assert plan.memo == "drop"
+        assert plan.context == "reuse"
 
-    def test_budget_change_drops_memo_only(self, universe):
+    def test_budget_change_reuses_every_layer(self, universe):
         session = session_for(universe)
         before = session.problem()
         session.set_max_sources(2)
         plan = plan_delta(before, session.problem())
+        assert plan.path == "delta"
         assert plan.operator == ()
         assert plan.context == "reuse"
-        assert plan.memo == "drop"
 
     def test_add_source_patches(self, universe):
         session = session_for(universe)
@@ -142,7 +140,6 @@ class TestPlanDelta:
         assert plan.path == "delta"
         assert plan.operator == ("universe",)
         assert plan.context == "patch"
-        assert plan.memo == "drop"
         assert plan.added_source_ids == {9}
         assert plan.removed_source_ids == frozenset()
 
@@ -158,11 +155,17 @@ class TestPlanDelta:
     def test_release_then_remove_orders_constraints_first(self, universe):
         session = session_for(universe)
         session.require_source(3)
+        session.solve()
         before = session.problem()
         session.release_source(3)
         session.remove_source(3)
         plan = plan_delta(before, session.problem())
-        assert plan.operator == ("constraints", "universe")
+        assert plan.operator == ("universe",)
+        # The session re-points C before the universe, so the released
+        # source may leave the universe in the same solve.
+        session.solve()
+        assert session.last_plan.operator == ("universe",)
+        assert session._operator.required_source_ids == frozenset()
 
     def test_qef_change_patches_context(self, universe):
         session = session_for(universe)
@@ -173,7 +176,6 @@ class TestPlanDelta:
         plan = plan_delta(before, session.problem())
         assert plan.operator == ()
         assert plan.context == "patch"
-        assert plan.memo == "drop"
 
     def test_rebound_source_id_goes_cold(self, universe):
         session = session_for(universe)
@@ -363,8 +365,9 @@ class TestInvalidationMatrix:
         session, before, after, stats = self.run_edit(
             universe, lambda s: s.emphasize("cardinality", 0.6)
         )
-        assert before == after
-        assert stats.get("session.delta.memo_reweighed", 0) > 0
+        assert before == after  # the memo is weighed at lookup
+        assert session._objective.cache_info()["hits"] > 0
+        assert "session.delta.memo_dropped" not in stats
         assert stats.get("session.delta.operator_reused") == 1
         assert stats.get("session.delta.context_reused") == 1
         assert stats.get("session.delta.cold_solves") == 1  # first solve only
@@ -377,10 +380,12 @@ class TestInvalidationMatrix:
         objective_a, operator_a, context_a = after
         assert operator_a is not operator_b
         assert context_a is context_b
-        assert objective_a is not objective_b  # memo dropped
+        # The Q(S) memo holds no F1, so it survives a new operator.
+        assert objective_a is objective_b
+        assert objective_a.match_operator is operator_a
         assert stats.get("session.delta.operator_rebuilt") == 1
         assert stats.get("session.delta.context_reused") == 1
-        assert stats.get("session.delta.memo_dropped", 0) > 0
+        assert "session.delta.memo_dropped" not in stats
 
     def test_constraint_retargets_operator_in_place(self, universe):
         session, before, after, stats = self.run_edit(
@@ -388,22 +393,22 @@ class TestInvalidationMatrix:
         )
         objective_b, operator_b, context_b = before
         objective_a, operator_a, context_a = after
-        assert operator_a is operator_b  # same object, memo rewritten
+        # Same objects: C is re-pointed and applied at lookup.
+        assert operator_a is operator_b
+        assert 0 in operator_a.required_source_ids
         assert context_a is context_b
-        assert objective_a is not objective_b
-        assert stats.get("session.delta.operator_retargeted") == 1
+        assert objective_a is objective_b
+        assert stats.get("session.delta.operator_reused") == 1
         assert "session.delta.operator_rebuilt" not in stats
+        assert "session.delta.memo_dropped" not in stats
 
-    def test_budget_drops_memo_keeps_operator_and_context(self, universe):
+    def test_budget_keeps_memo_operator_and_context(self, universe):
         session, before, after, stats = self.run_edit(
             universe, lambda s: s.set_max_sources(2)
         )
-        objective_b, operator_b, context_b = before
-        objective_a, operator_a, context_a = after
-        assert operator_a is operator_b
-        assert context_a is context_b
-        assert objective_a is not objective_b
+        assert before == after  # budget reasons are derived at lookup
         assert stats.get("session.delta.operator_reused") == 1
+        assert "session.delta.memo_dropped" not in stats
 
     def test_add_source_patches_context_extends_similarity(self, universe):
         def edit(s):
@@ -473,3 +478,69 @@ class TestInvalidationMatrix:
             session.solve()
         stats = counters(telemetry)
         assert stats.get("session.delta.cold_solves") == 2
+
+
+# -- round trips: an undone edit re-scores nothing ----------------------------
+
+
+class TestRoundTrips:
+    """Edit, solve, undo, solve: the last solve is the first one again.
+
+    Each memo is keyed on what its value depends on, so the entries
+    scored by the first solve still serve the last.  ``warm_start=False``
+    makes the last search retrace the first one exactly.
+    """
+
+    @pytest.fixture(scope="class")
+    def books(self):
+        from repro.workload import generate_books_universe
+
+        return generate_books_universe(n_sources=40, seed=3).universe
+
+    def round_trip(self, books, edit, undo):
+        session = session_for(
+            books,
+            max_sources=5,
+            optimizer_config=OptimizerConfig(max_iterations=6, seed=1),
+        )
+        first = session.solve(warm_start=False).solution
+        edit(session)
+        session.solve(warm_start=False)
+        undo(session)
+        telemetry = Telemetry()
+        with run_scope(telemetry=telemetry):
+            last = session.solve(warm_start=False)
+        assert last.solution == first
+        stats = counters(telemetry)
+        # SearchStats counts this run's Q(S) misses, not the memo's life.
+        assert last.result.stats.evaluations == stats.get(
+            "objective.evaluations", 0
+        )
+        return (
+            stats.get("match.memo_misses", 0),
+            stats.get("objective.evaluations", 0),
+        )
+
+    def test_pin_release_rescores_nothing(self, books):
+        pin = min(books.source_ids)
+        match_misses, qs_misses = self.round_trip(
+            books,
+            lambda s: s.require_source(pin),
+            lambda s: s.release_source(pin),
+        )
+        assert (match_misses, qs_misses) == (0, 0)
+
+    def test_budget_round_trip_rescores_no_qefs(self, books):
+        _, qs_misses = self.round_trip(
+            books,
+            lambda s: s.set_max_sources(4),
+            lambda s: s.set_max_sources(5),
+        )
+        assert qs_misses == 0
+
+    def test_theta_round_trip_reclusters_but_rescores_no_qefs(self, books):
+        match_misses, qs_misses = self.round_trip(
+            books, lambda s: s.set_theta(0.8), lambda s: s.set_theta(0.65)
+        )
+        assert match_misses > 0  # a θ edit builds a fresh operator
+        assert qs_misses == 0

@@ -38,6 +38,16 @@ def spare_source(source_id: int) -> Source:
     )
 
 
+def rebound_source(source_id: int) -> Source:
+    """A different source under a spare id: another schema and size."""
+    return Source(
+        source_id=source_id,
+        name=f"rebound{source_id}",
+        schema=("author", f"rebound_attr_{source_id}"),
+        cardinality=20 + source_id,
+    )
+
+
 def base_universe(name: str) -> Universe:
     if name == "theater":
         return theater_universe(seed=0)
@@ -68,6 +78,9 @@ EDITS = st.sampled_from(
         ("add", SPARE_IDS[0]),
         ("add", SPARE_IDS[1]),
         ("add", SPARE_IDS[2]),
+        # Remove, solve, then this: the id is rebound across solves, so
+        # no memo may serve the removed source's entries to this one.
+        ("rebind", SPARE_IDS[0]),
         ("remove", SPARE_IDS[0]),
         ("remove", SPARE_IDS[1]),
         ("qef_add", "latency_ms"),
@@ -98,6 +111,9 @@ def apply_edit(session: Session, kind: str, payload) -> None:
     elif kind == "add":
         if payload not in session.universe.source_ids:
             session.add_source(spare_source(payload))
+    elif kind == "rebind":
+        if payload not in session.universe.source_ids:
+            session.add_source(rebound_source(payload))
     elif kind == "remove":
         if (
             payload in session.universe.source_ids
@@ -138,6 +154,31 @@ def assert_solutions_identical(a, b, step: int) -> None:
     )
 
 
+def session_pair(universe_name: str) -> tuple[Session, Session]:
+    """A delta session and its cold reference over the same universe."""
+    return tuple(
+        Session(
+            base_universe(universe_name),
+            max_sources=4,
+            optimizer_config=FAST,
+            record_runs=False,
+            delta=delta,
+        )
+        for delta in (True, False)
+    )
+
+
+def assert_sequence_matches_cold(universe_name, sequence) -> None:
+    """Solve after every edit of ``sequence``; delta ≡ cold at each."""
+    delta, cold = session_pair(universe_name)
+    for step, (kind, payload) in enumerate(sequence, start=1):
+        apply_edit(delta, kind, payload)
+        apply_edit(cold, kind, payload)
+        assert_solutions_identical(
+            delta.solve().solution, cold.solve().solution, step=step
+        )
+
+
 @pytest.mark.parametrize("universe_name", ["theater", "books"])
 @given(edits=st.lists(st.tuples(EDITS, st.booleans()), max_size=8))
 @settings(
@@ -147,20 +188,7 @@ def assert_solutions_identical(a, b, step: int) -> None:
 )
 def test_delta_solve_matches_cold_solve(universe_name, edits):
     """∀ edit sequences: the delta path is bit-identical to cold."""
-    delta = Session(
-        base_universe(universe_name),
-        max_sources=4,
-        optimizer_config=FAST,
-        record_runs=False,
-        delta=True,
-    )
-    cold = Session(
-        base_universe(universe_name),
-        max_sources=4,
-        optimizer_config=FAST,
-        record_runs=False,
-        delta=False,
-    )
+    delta, cold = session_pair(universe_name)
     assert_solutions_identical(
         delta.solve().solution, cold.solve().solution, step=0
     )
@@ -182,35 +210,41 @@ def test_delta_solve_matches_cold_solve(universe_name, edits):
 @pytest.mark.parametrize("universe_name", ["theater", "books"])
 def test_delta_solve_matches_cold_solve_dense_sequence(universe_name):
     """A fixed worst-case chain touching every row of the matrix."""
-    sequence = [
-        ("weights", 0.6),
-        ("pin", 0),
-        ("add", SPARE_IDS[0]),
-        ("theta", 0.55),
-        ("qef_add", "latency_ms"),
-        ("remove", SPARE_IDS[0]),
-        ("beta", 2),
-        ("release", 0),
-        ("max_sources", 3),
-        ("qef_remove", "latency_ms"),
-    ]
-    delta = Session(
-        base_universe(universe_name),
-        max_sources=4,
-        optimizer_config=FAST,
-        record_runs=False,
-        delta=True,
+    assert_sequence_matches_cold(
+        universe_name,
+        [
+            ("weights", 0.6),
+            ("pin", 0),
+            ("add", SPARE_IDS[0]),
+            ("theta", 0.55),
+            ("qef_add", "latency_ms"),
+            ("remove", SPARE_IDS[0]),
+            ("rebind", SPARE_IDS[0]),
+            ("beta", 2),
+            ("release", 0),
+            ("max_sources", 3),
+            ("qef_remove", "latency_ms"),
+        ],
     )
-    cold = Session(
-        base_universe(universe_name),
-        max_sources=4,
-        optimizer_config=FAST,
-        record_runs=False,
-        delta=False,
+
+
+@pytest.mark.parametrize("universe_name", ["theater", "books"])
+def test_rebound_id_across_solves_matches_cold(universe_name):
+    """Remove a source, solve, add a different one under its id.
+
+    The planner's rebound check sees only ids present on both sides of
+    one solve, so this relies on the match memo dropping the removed
+    source's entries.  Pinning the id makes every selection touch it.
+    """
+    spare = SPARE_IDS[0]
+    assert_sequence_matches_cold(
+        universe_name,
+        [
+            ("add", spare),
+            ("pin", spare),
+            ("release", spare),
+            ("remove", spare),
+            ("rebind", spare),
+            ("pin", spare),
+        ],
     )
-    for step, (kind, payload) in enumerate(sequence, start=1):
-        apply_edit(delta, kind, payload)
-        apply_edit(cold, kind, payload)
-        assert_solutions_identical(
-            delta.solve().solution, cold.solve().solution, step=step
-        )

@@ -215,9 +215,10 @@ class TestOperatorCaching:
         assert session._operator is not operator_before
 
     def test_constraint_change_retargets_operator_in_place(self, theater):
-        # Pinning a source no longer rebuilds the operator: the memo is
-        # rewritten in place (repro.session.delta), and the results must
-        # still match a fresh session posed the same problem.
+        # Pinning a source does not rebuild the operator: the memo holds
+        # ungated clusterings and C is applied at lookup
+        # (repro.session.delta), and the results must still match a
+        # fresh session posed the same problem.
         session = Session(
             theater, max_sources=5, theta=0.5, optimizer_config=FAST
         )

@@ -101,7 +101,7 @@ class TestObjectiveEdges:
         first = objective.evaluate({0, 1})
         objective.evaluate({0, 2})
         assert first.selected == frozenset({0, 1})
-        assert first is objective.evaluate({0, 1})
+        assert first == objective.evaluate({0, 1})
 
 
 class TestRenderHistoryInfeasible:
