@@ -1,8 +1,8 @@
 """Ablations of the design choices DESIGN.md calls out.
 
 Not figures from the paper — these quantify the impact of choices the
-paper fixes silently: the clustering's pruning step, the single-linkage
-rule, the similarity measure, and the redundancy normalization.
+paper fixes silently: the single-linkage rule, the similarity measure,
+the matching threshold, and the redundancy normalization.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core import default_weights
-from repro.matching import MatchOperator
+from repro.matching import LINKAGES, MatchOperator, sequential_clustering
 from repro.quality import Objective, RedundancyQEF, RedundancyRatioQEF
 from repro.search import OptimizerConfig, TabuSearch
 from repro.similarity import get_measure
@@ -30,61 +30,44 @@ def selection_of_size(workload, size, seed=0):
     )
 
 
-@pytest.mark.parametrize("prune", [True, False], ids=["prune", "noprune"])
-def test_ablation_cluster_pruning(benchmark, prune):
-    """The elimination step: pure speed, identical output."""
-    workload = cached_workload(SCALE.fig6_universe_size)
-    selection = selection_of_size(workload, SCALE.fig5_choose)
-
-    def run():
-        operator = MatchOperator(
-            workload.universe, theta=0.65, prune=prune
-        )
-        return operator.match(selection)
-
-    result = benchmark(run)
-    benchmark.group = "ablation: pruning"
-    benchmark.extra_info["prune"] = prune
-    benchmark.extra_info["gas"] = len(result.schema)
-    print(f"[ablation/prune] prune={prune} GAs={len(result.schema)}")
-
-
-def test_ablation_pruning_output_identical(benchmark):
-    workload = cached_workload(SCALE.fig6_universe_size)
-    selection = selection_of_size(workload, SCALE.fig5_choose)
-
-    def run():
-        pruned = MatchOperator(workload.universe, theta=0.65, prune=True)
-        unpruned = MatchOperator(workload.universe, theta=0.65, prune=False)
-        return pruned.match(selection).schema, unpruned.match(selection).schema
-
-    a, b = benchmark.pedantic(run, rounds=1, iterations=1)
-    benchmark.group = "ablation: pruning"
-    assert a == b
-    print("[ablation/prune] outputs identical: True")
-
-
-@pytest.mark.parametrize("linkage", ["single", "complete", "average"])
+@pytest.mark.parametrize("linkage", LINKAGES)
 def test_ablation_linkage(benchmark, linkage):
-    """Cluster-pair similarity rule (paper uses single linkage)."""
+    """Cluster-pair similarity rule (paper uses single linkage).
+
+    Production ``Match(S)`` is single linkage only, so the rules are
+    compared on the reference clusterer, over the inputs the operator
+    would cluster and with its β filter.
+    """
     workload = cached_workload(SCALE.fig6_universe_size)
     selection = selection_of_size(workload, SCALE.fig5_choose)
+    operator = MatchOperator(workload.universe, theta=0.65)
 
     def run():
-        operator = MatchOperator(
-            workload.universe, theta=0.65, linkage=linkage
+        clusters = sequential_clustering(
+            operator._free_attributes(selection),
+            operator.seeds,
+            operator.matrix,
+            operator.theta,
+            linkage=linkage,
         )
-        return operator.match(selection)
+        return [
+            c for c in clusters if c.keep or len(c) >= operator.beta
+        ]
 
-    result = benchmark.pedantic(run, rounds=1, iterations=1)
-    sizes = sorted((len(ga) for ga in result.schema), reverse=True)
+    kept = benchmark.pedantic(run, rounds=1, iterations=1)
+    quality = (
+        sum(c.internal_quality(operator.matrix) for c in kept) / len(kept)
+        if kept
+        else 0.0
+    )
+    sizes = sorted((len(c) for c in kept), reverse=True)
     benchmark.group = "ablation: linkage"
     benchmark.extra_info["linkage"] = linkage
-    benchmark.extra_info["gas"] = len(result.schema)
-    benchmark.extra_info["quality"] = round(result.quality, 4)
+    benchmark.extra_info["gas"] = len(kept)
+    benchmark.extra_info["quality"] = round(quality, 4)
     print(
-        f"[ablation/linkage] {linkage:<9} GAs={len(result.schema):>3} "
-        f"F1={result.quality:.4f} sizes={sizes[:6]}"
+        f"[ablation/linkage] {linkage:<9} GAs={len(kept):>3} "
+        f"F1={quality:.4f} sizes={sizes[:6]}"
     )
 
 

@@ -1,6 +1,6 @@
 """Schema matching by constrained clustering (paper §3)."""
 
-from .cluster import LINKAGES, Cluster, cluster_similarity
+from .cluster import Cluster
 from .compound import (
     CompoundMapping,
     CompoundSpec,
@@ -9,9 +9,9 @@ from .compound import (
     compound_label,
     suggest_compounds,
 )
-from .greedy import greedy_constrained_clustering, run_clustering_rounds
+from .greedy import greedy_constrained_clustering
 from .operator import MatchOperator, MatchResult, coalesce_ga_constraints
-from .reference import sequential_clustering
+from .reference import LINKAGES, cluster_similarity, sequential_clustering
 
 __all__ = [
     "Cluster",
@@ -26,7 +26,6 @@ __all__ = [
     "coalesce_ga_constraints",
     "compound_label",
     "greedy_constrained_clustering",
-    "run_clustering_rounds",
     "sequential_clustering",
     "suggest_compounds",
 ]

@@ -3,7 +3,8 @@
 A cluster is a growing candidate GA: a set of attributes from distinct
 sources.  Clusters seeded from user GA constraints carry ``keep=True`` and
 are never eliminated (Algorithm 1, line 3); all other clusters start as
-singletons.
+singletons.  Each cluster carries its internal matching quality through
+merges, so a clustering's F1 needs no second pass over its GAs.
 """
 
 from __future__ import annotations
@@ -16,22 +17,21 @@ from ..core import AttributeRef, GlobalAttribute
 from ..exceptions import ReproError
 from ..similarity.matrix import NameSimilarityMatrix
 
-#: Supported cluster-pair linkage rules.  The paper uses single linkage
-#: ("the similarity between two clusters [is] the maximum similarity between
-#: an attribute from the first cluster and an attribute from the second").
-LINKAGES = ("single", "complete", "average")
-
-
 class Cluster:
-    """A mutable-by-replacement candidate GA during clustering."""
+    """A mutable-by-replacement candidate GA during clustering.
 
-    __slots__ = ("attrs", "name_ids", "source_ids", "keep")
+    ``quality`` carries :meth:`internal_quality` instead of recomputing
+    it: 0.0 for a singleton, computed once for a seed, combined on merge.
+    """
+
+    __slots__ = ("attrs", "name_ids", "source_ids", "keep", "quality")
 
     def __init__(
         self,
         attrs: Iterable[AttributeRef],
         name_ids: np.ndarray,
         keep: bool = False,
+        quality: float = 0.0,
     ):
         self.attrs = tuple(attrs)
         self.name_ids = name_ids
@@ -41,6 +41,7 @@ class Cluster:
                 "cluster would contain two attributes from one source"
             )
         self.keep = keep
+        self.quality = quality
 
     @classmethod
     def singleton(
@@ -58,22 +59,25 @@ class Cluster:
     ) -> "Cluster":
         """A keep-flagged cluster seeded from a user GA constraint."""
         attrs = tuple(sorted(ga.attributes, key=lambda a: (a.source_id, a.index)))
-        return cls(
-            attrs,
-            matrix.name_ids(a.name for a in attrs),
-            keep=True,
-        )
+        cluster = cls(attrs, matrix.name_ids(a.name for a in attrs), keep=True)
+        cluster.quality = cluster.internal_quality(matrix)
+        return cluster
 
     def can_merge(self, other: "Cluster") -> bool:
         """Validity check: the union must have one attribute per source."""
         return self.source_ids.isdisjoint(other.source_ids)
 
-    def merged_with(self, other: "Cluster") -> "Cluster":
-        """The union cluster; keep survives if either side had it."""
+    def merged_with(self, other: "Cluster", cross_max: float) -> "Cluster":
+        """The union cluster; keep survives if either side had it.
+
+        ``cross_max`` is the max similarity over cross pairs (the
+        single-linkage similarity), so the union's quality is exact.
+        """
         return Cluster(
             self.attrs + other.attrs,
             np.concatenate((self.name_ids, other.name_ids)),
             keep=self.keep or other.keep,
+            quality=max(self.quality, other.quality, cross_max),
         )
 
     def to_ga(self) -> GlobalAttribute:
@@ -101,22 +105,3 @@ class Cluster:
         names = ", ".join(a.name for a in self.attrs[:4])
         suffix = ", ..." if len(self.attrs) > 4 else ""
         return f"Cluster([{names}{suffix}]{flag})"
-
-
-def cluster_similarity(
-    a: Cluster,
-    b: Cluster,
-    matrix: NameSimilarityMatrix,
-    linkage: str = "single",
-) -> float:
-    """Similarity between two clusters under the chosen linkage rule."""
-    block = matrix.block(a.name_ids, b.name_ids)
-    if linkage == "single":
-        return float(block.max())
-    if linkage == "complete":
-        return float(block.min())
-    if linkage == "average":
-        return float(block.mean())
-    raise ReproError(
-        f"unknown linkage {linkage!r}; expected one of {LINKAGES}"
-    )

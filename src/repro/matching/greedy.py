@@ -39,7 +39,7 @@ from ..explain.events import (
 )
 from ..similarity.matrix import NameSimilarityMatrix
 from ..telemetry import get_telemetry
-from .cluster import Cluster, cluster_similarity
+from .cluster import Cluster
 
 
 def greedy_constrained_clustering(
@@ -47,8 +47,6 @@ def greedy_constrained_clustering(
     seeds: Sequence[GlobalAttribute],
     matrix: NameSimilarityMatrix,
     theta: float,
-    linkage: str = "single",
-    prune: bool = True,
 ) -> list[Cluster]:
     """Cluster attributes into candidate GAs.
 
@@ -64,51 +62,28 @@ def greedy_constrained_clustering(
         Precomputed name-pair similarities covering every attribute name.
     theta:
         The matching threshold θ.
-    linkage:
-        Cluster-pair similarity rule; the paper uses ``"single"``.
-    prune:
-        Apply the elimination step.  Disabling it changes running time but
-        not the result under single linkage; it exists for ablation.
 
     Returns
     -------
     list[Cluster]
-        All final clusters, including singletons.  Callers filter by the
-        minimum GA size β.
-    """
-    initial: list[Cluster] = [Cluster.from_ga(ga, matrix) for ga in seeds]
-    initial.extend(Cluster.singleton(attr, matrix) for attr in attributes)
-    return run_clustering_rounds(
-        initial, matrix, theta, linkage=linkage, prune=prune
-    )
-
-
-def run_clustering_rounds(
-    initial_clusters: Sequence[Cluster],
-    matrix: NameSimilarityMatrix,
-    theta: float,
-    linkage: str = "single",
-    prune: bool = True,
-) -> list[Cluster]:
-    """Algorithm 1's round loop, from an arbitrary starting cluster state.
-
-    :func:`greedy_constrained_clustering` starts it from seeds +
-    singletons; any preformed clusters may be passed instead.
+        All final clusters, including singletons, each carrying its
+        internal quality.  Callers filter by the minimum GA size β.
     """
     log = get_event_log()
     explain = log.enabled
     active: dict[int, Cluster] = {}
     ids = itertools.count()
-    seed_index = 0
-    for cluster in initial_clusters:
+    for seed_index, ga in enumerate(seeds):
+        cluster = Cluster.from_ga(ga, matrix)
         active[next(ids)] = cluster
-        if explain and cluster.keep:
+        if explain:
             log.emit(
                 SeedPlanted(
                     seed_index=seed_index, members=cluster_members(cluster)
                 )
             )
-            seed_index += 1
+    for attr in attributes:
+        active[next(ids)] = Cluster.singleton(attr, matrix)
     finished: list[Cluster] = []
     rounds = 0
     merges = 0
@@ -117,10 +92,10 @@ def run_clustering_rounds(
     while True:
         rounds += 1
         done = True
-        heap = _similar_pairs(active, matrix, theta, linkage)
+        heap = _similar_pairs(active, matrix, theta)
         merged_away: set[int] = set()
-        merge_candidates: set[int] = set()
-        new_ids: set[int] = set()
+        # Clusters made or deferred this round; the rest are eliminated.
+        survivors: set[int] = set()
         while heap:
             neg_sim, _, id_a, id_b = heapq.heappop(heap)
             a_merged = id_a in merged_away
@@ -133,7 +108,7 @@ def run_clustering_rounds(
             if a_merged or b_merged:
                 # The losing side survives to the next round.
                 survivor = id_b if a_merged else id_a
-                merge_candidates.add(survivor)
+                survivors.add(survivor)
                 done = False
                 if explain:
                     log.emit(
@@ -152,8 +127,8 @@ def run_clustering_rounds(
             merged_away.add(id_b)
             merges += 1
             new_id = next(ids)
-            active[new_id] = cluster_a.merged_with(cluster_b)
-            new_ids.add(new_id)
+            active[new_id] = cluster_a.merged_with(cluster_b, -neg_sim)
+            survivors.add(new_id)
             if explain:
                 pair_a, pair_b = _best_pair(cluster_a, cluster_b, matrix)
                 log.emit(
@@ -169,22 +144,19 @@ def run_clustering_rounds(
                 )
         for cluster_id in merged_away:
             del active[cluster_id]
-        if prune:
-            for cluster_id in list(active):
-                if cluster_id in new_ids or cluster_id in merge_candidates:
-                    continue
-                cluster = active[cluster_id]
-                if cluster.keep:
-                    continue
-                finished.append(cluster)
-                del active[cluster_id]
-                eliminated += 1
-                if explain:
-                    log.emit(
-                        ClusterEliminated(
-                            round=rounds, members=cluster_members(cluster)
-                        )
+        for cluster_id in list(active):
+            cluster = active[cluster_id]
+            if cluster.keep or cluster_id in survivors:
+                continue
+            finished.append(cluster)
+            del active[cluster_id]
+            eliminated += 1
+            if explain:
+                log.emit(
+                    ClusterEliminated(
+                        round=rounds, members=cluster_members(cluster)
                     )
+                )
         if done:
             break
 
@@ -215,45 +187,31 @@ def _similar_pairs(
     active: dict[int, Cluster],
     matrix: NameSimilarityMatrix,
     theta: float,
-    linkage: str,
 ) -> list[tuple[float, int, int, int]]:
     """Heap of ``(-similarity, tiebreak, id_a, id_b)`` for pairs ≥ θ.
 
     The tiebreak makes pop order deterministic when similarities are equal.
-    Single/complete linkage are vectorized: one dense gather over all
-    member attributes followed by two segment reductions yields the whole
+    One dense gather over all member attributes followed by two
+    ``np.maximum`` segment reductions yields the whole single-linkage
     cluster-pair similarity matrix.
     """
-    entries: list[tuple[float, int, int, int]] = []
     items = sorted(active.items())
     if len(items) < 2:
-        return entries
-    if linkage in ("single", "complete"):
-        cluster_ids = [cid for cid, _ in items]
-        sizes = [len(c.name_ids) for _, c in items]
-        name_ids = np.concatenate([c.name_ids for _, c in items])
-        offsets = np.zeros(len(items), dtype=np.int64)
-        np.cumsum(sizes[:-1], out=offsets[1:])
-        block = matrix.block(name_ids, name_ids)
-        reduce = np.maximum if linkage == "single" else np.minimum
-        rows_reduced = reduce.reduceat(block, offsets, axis=0)
-        pair = reduce.reduceat(rows_reduced, offsets, axis=1)
-        rows, cols = np.nonzero(np.triu(pair >= theta, k=1))
-        for row, col in zip(rows.tolist(), cols.tolist()):
-            entries.append(
-                (
-                    -float(pair[row, col]),
-                    len(entries),
-                    cluster_ids[row],
-                    cluster_ids[col],
-                )
-            )
-    else:
-        for (id_a, cluster_a), (id_b, cluster_b) in itertools.combinations(
-            items, 2
-        ):
-            sim = cluster_similarity(cluster_a, cluster_b, matrix, linkage)
-            if sim >= theta:
-                entries.append((-sim, len(entries), id_a, id_b))
+        return []
+    cluster_ids = [cid for cid, _ in items]
+    sizes = [len(c.name_ids) for _, c in items]
+    name_ids = np.concatenate([c.name_ids for _, c in items])
+    offsets = np.zeros(len(items), dtype=np.int64)
+    np.cumsum(sizes[:-1], out=offsets[1:])
+    block = matrix.block(name_ids, name_ids)
+    rows_reduced = np.maximum.reduceat(block, offsets, axis=0)
+    pair = np.maximum.reduceat(rows_reduced, offsets, axis=1)
+    rows, cols = np.nonzero(np.triu(pair >= theta, k=1))
+    entries = [
+        (-sim, tiebreak, cluster_ids[row], cluster_ids[col])
+        for tiebreak, (sim, row, col) in enumerate(
+            zip(pair[rows, cols].tolist(), rows.tolist(), cols.tolist())
+        )
+    ]
     heapq.heapify(entries)
     return entries

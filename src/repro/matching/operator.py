@@ -15,6 +15,7 @@ lookup, so a constraint edit keeps the memo.
 
 from __future__ import annotations
 
+import math
 from collections import OrderedDict
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
@@ -75,15 +76,11 @@ class MatchOperator:
         theta: float = 0.65,
         beta: int = 2,
         similarity: SimilarityMeasure | NameSimilarityMatrix | None = None,
-        linkage: str = "single",
-        prune: bool = True,
         cache_size: int = 200_000,
     ):
         self.universe = universe
         self.theta = theta
         self.beta = beta
-        self.linkage = linkage
-        self.prune = prune
         self.matrix = _resolve_matrix(universe, similarity)
         self.seeds = coalesce_ga_constraints(ga_constraints)
         implied = {
@@ -110,8 +107,6 @@ class MatchOperator:
         cls,
         problem: Problem,
         similarity: SimilarityMeasure | NameSimilarityMatrix | None = None,
-        linkage: str = "single",
-        prune: bool = True,
         **kwargs,
     ) -> "MatchOperator":
         """Build the operator a :class:`~repro.core.Problem` describes."""
@@ -122,8 +117,6 @@ class MatchOperator:
             theta=problem.theta,
             beta=problem.beta,
             similarity=similarity,
-            linkage=linkage,
-            prune=prune,
             **kwargs,
         )
 
@@ -186,8 +179,7 @@ class MatchOperator:
 
     def ga_quality(self, ga: GlobalAttribute) -> float:
         """``F1({g})`` — internal matching quality of a single GA."""
-        cluster = Cluster.from_ga(ga, self.matrix)
-        return cluster.internal_quality(self.matrix)
+        return Cluster.from_ga(ga, self.matrix).quality
 
     def cache_info(self) -> dict[str, int]:
         """Cache statistics for diagnostics."""
@@ -246,24 +238,26 @@ class MatchOperator:
     # -- internals ----------------------------------------------------------
 
     def _cluster(self, selection: frozenset[int]) -> MatchResult:
-        """The ungated ``Match(S)``: cluster, then score the schema."""
-        free_attrs = self._free_attributes(selection)
+        """The ungated ``Match(S)``: cluster, keep by β, average quality.
+
+        F1 is the mean of the kept clusters' carried qualities.
+        ``math.fsum`` is exactly rounded, so the mean does not depend on
+        the order the clusters come out in.
+        """
         clusters = greedy_constrained_clustering(
-            free_attrs,
+            self._free_attributes(selection),
             self.seeds,
             self.matrix,
             self.theta,
-            linkage=self.linkage,
-            prune=self.prune,
         )
-        gas = [
-            cluster.to_ga()
+        kept = [
+            cluster
             for cluster in clusters
             if cluster.keep or len(cluster) >= self.beta
         ]
-        schema = MediatedSchema(gas)
+        schema = MediatedSchema(cluster.to_ga() for cluster in kept)
         unspanned = schema.unspanned_source_ids(selection)
-        quality = self._schema_quality(schema)
+        quality = math.fsum(c.quality for c in kept) / max(len(kept), 1)
         return MatchResult(schema, quality, unspanned_source_ids=unspanned)
 
     def _free_attributes(self, selection: frozenset[int]):
@@ -274,15 +268,6 @@ class MatchOperator:
             for attr in self.universe.source(sid).attributes
             if attr not in seed_attrs
         ]
-
-    def _schema_quality(self, schema: MediatedSchema) -> float:
-        if not len(schema):
-            return 0.0
-        total = 0.0
-        for ga in schema:
-            cluster = Cluster.from_ga(ga, self.matrix)
-            total += cluster.internal_quality(self.matrix)
-        return total / len(schema)
 
 
 def coalesce_ga_constraints(

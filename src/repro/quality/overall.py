@@ -76,8 +76,6 @@ class Objective:
         self,
         problem: Problem,
         similarity: SimilarityMeasure | NameSimilarityMatrix | None = None,
-        linkage: str = "single",
-        prune: bool = True,
         cache_size: int = 200_000,
         exact_data_metrics: bool = False,
         match_operator: MatchOperator | None = None,
@@ -92,7 +90,7 @@ class Objective:
             self.match_operator = match_operator
         else:
             self.match_operator = MatchOperator.for_problem(
-                problem, similarity=similarity, linkage=linkage, prune=prune
+                problem, similarity=similarity
             )
         self._exact_data_metrics = exact_data_metrics
         self._qefs = self._build_qefs(problem)

@@ -1359,7 +1359,7 @@ class ParallelSolveEngine:
         for slot, future in enumerate(futures):
             index, spec, attempt = batch[slot]
             try:
-                payload = future.result(timeout=timeout)
+                payload = self._await(future, timeout, started)
             except FuturesTimeout:
                 cancelled = future.cancel()
                 if started is not None and started[index] <= attempt:
@@ -1421,6 +1421,24 @@ class ParallelSolveEngine:
                 )
             )
         return None, abandoned
+
+    @staticmethod
+    def _await(future, timeout: float | None, started):
+        """``future.result(timeout)``, not counting pool start-up.
+
+        While this pool's ledger is all zero no attempt has begun in it,
+        so a missed deadline is the pool still starting its processes
+        (slow under ``spawn``), not a hostage slot: keep waiting on the
+        same future.  Timing out there would requeue the attempt, rotate
+        to a fresh pool that starts up just as slowly, and repeat
+        forever.
+        """
+        while True:
+            try:
+                return future.result(timeout=timeout)
+            except FuturesTimeout:
+                if started is None or any(started[:]):
+                    raise
 
     def _retry_or_finish(
         self,

@@ -1,4 +1,4 @@
-"""Tests for Cluster and linkage rules."""
+"""Tests for Cluster and the reference linkage rules."""
 
 import numpy as np
 import pytest
@@ -54,9 +54,24 @@ class TestCluster:
         ga = GlobalAttribute([AttributeRef(0, 0, "title")])
         keeper = Cluster.from_ga(ga, matrix)
         other = make_cluster(matrix, (1, "titles"))
-        merged = keeper.merged_with(other)
+        cross = matrix.max_cross(keeper.name_ids, other.name_ids)
+        merged = keeper.merged_with(other, cross)
         assert merged.keep
         assert len(merged) == 2
+        assert merged.quality == cross == merged.internal_quality(matrix)
+
+    def test_singleton_and_seed_qualities(self, matrix):
+        assert (
+            Cluster.singleton(AttributeRef(0, 0, "title"), matrix).quality
+            == 0.0
+        )
+        seed = Cluster.from_ga(
+            GlobalAttribute(
+                [AttributeRef(0, 0, "title"), AttributeRef(1, 0, "isbn")]
+            ),
+            matrix,
+        )
+        assert seed.quality == seed.internal_quality(matrix)
 
     def test_to_ga_roundtrip(self, matrix):
         cluster = make_cluster(matrix, (0, "title"), (1, "titles"))

@@ -32,6 +32,18 @@ def partition_of(clusters):
 
 
 class TestBasicClustering:
+    def test_empty_input(self):
+        matrix = NameSimilarityMatrix.build(("a",), NGramJaccard(3))
+        assert greedy_constrained_clustering((), (), matrix, 0.65) == []
+
+    def test_single_attribute_passthrough(self):
+        matrix = NameSimilarityMatrix.build(("a",), NGramJaccard(3))
+        attr = AttributeRef(0, 0, "a")
+        (cluster,) = greedy_constrained_clustering((attr,), (), matrix, 0.65)
+        assert cluster.attrs == (attr,)
+        assert not cluster.keep
+        assert cluster.quality == 0.0
+
     def test_identical_names_merge(self):
         matrix = NameSimilarityMatrix.build(
             ("title", "isbn"), NGramJaccard(3)
@@ -218,35 +230,6 @@ class TestSeeds:
         )
         assert len(clusters) == 1
         assert len(clusters[0]) == 4
-
-
-class TestPruning:
-    def test_prune_does_not_change_result(self):
-        # Elimination is a pure optimization under single linkage.
-        matrix = NameSimilarityMatrix.build(
-            ("title", "titles", "book title", "isbn", "author", "authors"),
-            NGramJaccard(3),
-        )
-        attributes = [
-            AttributeRef(s, i, n)
-            for s, i, n in [
-                (0, 0, "title"),
-                (0, 1, "author"),
-                (1, 0, "titles"),
-                (1, 1, "authors"),
-                (2, 0, "book title"),
-                (2, 1, "isbn"),
-                (3, 0, "title"),
-                (3, 1, "authors"),
-            ]
-        ]
-        pruned = greedy_constrained_clustering(
-            attributes, (), matrix, theta=0.65, prune=True
-        )
-        unpruned = greedy_constrained_clustering(
-            attributes, (), matrix, theta=0.65, prune=False
-        )
-        assert partition_of(pruned) == partition_of(unpruned)
 
 
 class TestAgainstReference:

@@ -172,6 +172,50 @@ class TestAbandonedPool:
         assert result.solution.objective == clean.solution.objective
 
 
+class TestPoolStartUp:
+    def test_slow_pool_start_up_is_not_a_timeout(self, problem, monkeypatch):
+        """A pool that starts slower than the timeout is not hung.
+
+        Until an attempt has begun in a pool, a missed deadline measures
+        the pool starting its processes.  Treating it as queue wait
+        requeued the attempt and rotated to a fresh pool that started
+        just as slowly, so the solve never returned (``spawn`` start-up
+        on a small machine did this).  ``fork`` plus a slow initializer
+        reproduces that start-up cost on any machine; a pool count guard
+        turns a relapse into a failure instead of a hang.
+        """
+        import time
+
+        from repro.search import parallel
+
+        initialize = parallel._worker_init
+
+        def slow_init(*args):
+            time.sleep(1.0)
+            initialize(*args)
+
+        new_pool = ParallelSolveEngine._new_pool
+        pools = []
+
+        def guarded_new_pool(engine, *args, **kwargs):
+            pools.append(None)
+            assert len(pools) <= 2, "pools rotated before any attempt began"
+            return new_pool(engine, *args, **kwargs)
+
+        monkeypatch.setattr(parallel, "_worker_init", slow_init)
+        monkeypatch.setattr(ParallelSolveEngine, "_new_pool", guarded_new_pool)
+        specs = seeded_restarts("local", 2, CONFIG)
+        resilience = ResilienceConfig(
+            worker_timeout=0.3, retry=RetryPolicy(max_retries=1)
+        )
+        result = ParallelSolveEngine(
+            jobs=2, start_method="fork", resilience=resilience
+        ).solve(problem, specs)
+        assert result.portfolio.timeouts == 0
+        assert result.portfolio.pool_rebuilds == 0
+        assert all(o.ok and o.attempts == 1 for o in result.portfolio.workers)
+
+
 class TestTimeoutValidation:
     def test_nonpositive_timeout_is_rejected(self):
         from repro.exceptions import SearchError

@@ -6,42 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import Problem, Universe, default_weights
-from repro.matching import run_clustering_rounds
-from repro.matching.cluster import Cluster
 from repro.quality import Objective
 from repro.quality.data_metrics import estimated_distinct
-from repro.similarity import NGramJaccard, NameSimilarityMatrix
 from repro.workload import SourceSearchEngine
 
 from .conftest import make_source, make_universe
-
-
-class TestRunClusteringRounds:
-    def test_resumes_from_preformed_clusters(self):
-        matrix = NameSimilarityMatrix.build(
-            ("title", "titles", "book title"), NGramJaccard(3)
-        )
-        from repro.core import AttributeRef
-
-        preformed = Cluster(
-            (AttributeRef(0, 0, "title"), AttributeRef(1, 0, "titles")),
-            matrix.name_ids(["title", "titles"]),
-        )
-        loose = Cluster.singleton(AttributeRef(2, 0, "title"), matrix)
-        clusters = run_clustering_rounds([preformed, loose], matrix, 0.65)
-        assert len(clusters) == 1
-        assert len(clusters[0]) == 3
-
-    def test_empty_input(self):
-        matrix = NameSimilarityMatrix.build(("a",), NGramJaccard(3))
-        assert run_clustering_rounds([], matrix, 0.65) == []
-
-    def test_single_cluster_passthrough(self):
-        matrix = NameSimilarityMatrix.build(("a",), NGramJaccard(3))
-        from repro.core import AttributeRef
-
-        single = Cluster.singleton(AttributeRef(0, 0, "a"), matrix)
-        assert run_clustering_rounds([single], matrix, 0.65) == [single]
 
 
 class TestDiscoveryRanking:

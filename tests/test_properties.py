@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -70,6 +72,45 @@ def attribute_sets(draw, max_sources=6, max_attrs=4):
     return attrs
 
 
+@st.composite
+def seeded_attribute_sets(draw):
+    """Free attributes plus disjoint seed GAs drawn from the same pool."""
+    pool = draw(attribute_sets())
+    seeds = []
+    for _ in range(draw(st.integers(0, 2))):
+        if not pool:
+            break
+        picked = draw(
+            st.lists(st.sampled_from(pool), min_size=1, max_size=3, unique=True)
+        )
+        members = {}
+        for attr in picked:
+            members.setdefault(attr.source_id, attr)
+        seeds.append(GlobalAttribute(members.values()))
+        pool = [a for a in pool if a not in members.values()]
+    return pool, tuple(seeds)
+
+
+def theta_components(attrs, seeds, theta):
+    """Attribute sets of the θ-graph's components; a seed is one node."""
+    nodes = [tuple(seed) for seed in seeds] + [(attr,) for attr in attrs]
+    ids = [MATRIX.name_ids([a.name for a in node]) for node in nodes]
+    parent = list(range(len(nodes)))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i, j in itertools.combinations(range(len(nodes)), 2):
+        if MATRIX.max_cross(ids[i], ids[j]) >= theta:
+            parent[find(i)] = find(j)
+    groups: dict[int, set] = {}
+    for i, node in enumerate(nodes):
+        groups.setdefault(find(i), set()).update(node)
+    return [frozenset(group) for group in groups.values()]
+
+
 # -- GA and schema algebra ----------------------------------------------------
 
 class TestGAProperties:
@@ -135,8 +176,27 @@ class TestClusteringProperties:
         for cluster in clusters:
             sources = [a.source_id for a in cluster.attrs]
             assert len(sources) == len(set(sources))
+            # The carried quality is the recomputed one, bit for bit.
+            assert cluster.quality == cluster.internal_quality(MATRIX)
             if len(cluster) >= 2:
-                assert cluster.internal_quality(MATRIX) >= theta
+                assert cluster.quality >= theta
+
+    @given(
+        case=seeded_attribute_sets(),
+        theta=st.sampled_from([0.3, 0.5, 0.65, 0.8]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_conflict_free_components_end_as_one_cluster(self, case, theta):
+        # Under single linkage with elimination, θ-graph components never
+        # interact, and one whose attributes (seeds included) come from
+        # distinct sources always ends as exactly one cluster.
+        attrs, seeds = case
+        clusters = greedy_constrained_clustering(attrs, seeds, MATRIX, theta)
+        outputs = {frozenset(cluster.attrs) for cluster in clusters}
+        for component in theta_components(attrs, seeds, theta):
+            sources = [a.source_id for a in component]
+            if len(sources) == len(set(sources)):
+                assert component in outputs
 
     @given(attrs=attribute_sets(max_sources=4))
     @settings(max_examples=30, deadline=None)
