@@ -11,8 +11,7 @@ The load generator drives ``ServeApp.dispatch`` directly from N client
 threads (the HTTP shim adds only socket serialization; CI's serve-smoke
 job covers the socket path).  Every solve's latency is recorded;
 ``BENCH_serve.json``'s ``extra_info`` carries p50/p99 latency and
-solves/sec so ``benchmarks/track.py`` tracks the load round's wall time
-in its rolling-median gate and CI asserts the invariants.
+solves/sec, and CI asserts the invariants.
 """
 
 from __future__ import annotations

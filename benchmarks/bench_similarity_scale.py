@@ -5,8 +5,8 @@ be bit-identical to the dense all-pairs build (the per-pair loop,
 reached through :class:`~repro.testing.PerPairMeasure`) while scaling sub-
 quadratically — this bench measures both claims at growing vocabulary
 sizes and emits ``BENCH_similarity.json`` (a ``mube-metrics`` document)
-so ``benchmarks/track.py`` gates the 2000-name build time and the
-counter-verified candidate-pair ratio alongside the timing suites.
+with the 2000-name build times and the counter-verified candidate-pair
+ratio, which CI asserts on.
 
 The matrix is a dense ``float64`` array, ``8 n²`` bytes for ``n`` names:
 0.5 GB at 8000 names and 3.2 GB at 20000.  Past ``COMPARE_SIZE`` the bench
@@ -62,10 +62,8 @@ WORDS = (
 )
 
 #: Metrics accumulated by the tests and flushed to BENCH_similarity.json
-#: by the session fixture below.  ``_METRICS`` entries are gated by
-#: track.py (lower is better: seconds, ratios); ``_INFO`` entries ride
-#: the document ungated (the speedup, where *higher* is better and a
-#: relative-increase gate would flag improvements).
+#: by the session fixture below: ``_METRICS`` holds the measurements
+#: (seconds, ratios; lower is better), ``_INFO`` the derived speedup.
 _METRICS: dict[str, float] = {}
 _INFO: dict[str, float] = {}
 

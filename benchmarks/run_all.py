@@ -8,19 +8,14 @@ take down the rest, and every report lands as a separate artifact::
 
 is what CI runs; ``--scale paper`` reproduces the paper's figures on a
 workstation.  ``mube figures BENCH_fig5_universe_size.json`` renders a
-report afterwards.
-
-Besides the per-suite reports, a ``BENCH_index.json`` manifest is
-written to the output directory mapping every suite to its report path,
-exit status and scale — the entry point for tooling (notably
-``benchmarks/track.py``) that wants the run's reports without
-re-discovering them by glob.
+report afterwards.  These reports are records, not a gate: the
+performance gate is ``benchmarks/loop_gate.py``, which compares
+loopbench's deterministic counts with a committed baseline.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import subprocess
 import sys
@@ -98,7 +93,6 @@ def main(argv: list[str] | None = None) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     failures: list[str] = []
-    suites: list[dict[str, object]] = []
     for i, bench in enumerate(benches, start=1):
         print(
             f"[{i}/{len(benches)}] {bench.stem} (scale={args.scale})",
@@ -109,25 +103,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"    {verdict} in {elapsed:.1f}s", flush=True)
         if status != 0:
             failures.append(bench.stem)
-        report = report_path(bench, out_dir)
-        suites.append(
-            {
-                "suite": bench.stem,
-                "report": report.name,
-                "exists": report.exists(),
-                "status": status,
-                "elapsed_seconds": round(elapsed, 3),
-            }
-        )
 
-    manifest = {
-        "scale": args.scale,
-        "suites": suites,
-        "failures": failures,
-    }
-    (out_dir / "BENCH_index.json").write_text(
-        json.dumps(manifest, indent=2) + "\n", encoding="utf-8"
-    )
     print(
         f"\n{len(benches) - len(failures)}/{len(benches)} suites passed; "
         f"reports in {out_dir}"

@@ -8,7 +8,6 @@ The core subcommands::
     mube explain [options]       # solve and explain *why* the answer is so
     mube trace-report FILE       # analyse a --trace JSON-lines file offline
     mube runs [show ID]          # list or inspect the persistent run registry
-    mube profile [--scale ...]   # per-phase cost profiles and log-log slopes
 
 The CLI is a thin veneer over the :class:`repro.Session` API; everything it
 does can be done programmatically (see ``examples/``).
@@ -179,39 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
              "(open in chrome://tracing or ui.perfetto.dev)",
     )
     trace_report.set_defaults(handler=run_trace_report)
-
-    profile = sub.add_parser(
-        "profile",
-        help="run the pipeline at increasing scales and fit per-phase "
-             "log-log cost slopes",
-    )
-    profile.add_argument(
-        "--scale", default="40,80,160", metavar="N1,N2,...",
-        help="comma-separated universe sizes to probe (default 40,80,160)",
-    )
-    profile.add_argument("--choose", type=int, default=8, help="budget m")
-    profile.add_argument("--iterations", type=int, default=30)
-    profile.add_argument(
-        "--optimizer", choices=sorted(OPTIMIZERS), default="tabu"
-    )
-    profile.add_argument("--seed", type=int, default=0)
-    profile.add_argument("--theta", type=float, default=0.65)
-    profile.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help="profile the portfolio path with N workers "
-             "(default: sequential solve)",
-    )
-    profile.add_argument(
-        "--memory", action="store_true",
-        help="also attribute peak/delta heap memory per phase "
-             "(tracemalloc; slows the probe noticeably)",
-    )
-    profile.add_argument(
-        "--out", metavar="FILE", default=None,
-        help="write the PROFILE_*.json document here "
-             "(default: PROFILE_pipeline.json; '-' skips the file)",
-    )
-    profile.set_defaults(handler=run_profile_cmd)
 
     runs = sub.add_parser(
         "runs",
@@ -506,61 +472,6 @@ def run_trace_report(args: argparse.Namespace) -> int:
             )
             return 2
         print(f"wrote {count} chrome trace events to {args.chrome}")
-    return 0
-
-
-def run_profile_cmd(args: argparse.Namespace) -> int:
-    """Run the empirical complexity probe and emit PROFILE_*.json."""
-    import json
-
-    from .telemetry.complexity import (
-        ProfileConfig,
-        render_profile_report,
-        run_profile,
-    )
-
-    try:
-        scales = tuple(
-            int(part) for part in args.scale.split(",") if part.strip()
-        )
-    except ValueError:
-        print(
-            f"error: --scale wants comma-separated integers, "
-            f"got {args.scale!r}",
-            file=sys.stderr,
-        )
-        return 2
-    if not scales or any(s < 2 for s in scales):
-        print(
-            "error: --scale needs at least one universe size ≥ 2",
-            file=sys.stderr,
-        )
-        return 2
-    config = ProfileConfig(
-        scales=scales,
-        choose=args.choose,
-        iterations=args.iterations,
-        optimizer=args.optimizer,
-        seed=args.seed,
-        theta=args.theta,
-        jobs=args.jobs,
-        memory=args.memory,
-    )
-    document = run_profile(config)
-    print(render_profile_report(document), end="")
-    out = args.out if args.out is not None else "PROFILE_pipeline.json"
-    if out != "-":
-        try:
-            with open(out, "w", encoding="utf-8") as stream:
-                json.dump(document, stream, indent=1, sort_keys=True)
-                stream.write("\n")
-        except OSError as exc:
-            print(
-                f"error: cannot write profile report: {exc}",
-                file=sys.stderr,
-            )
-            return 2
-        print(f"\nwrote profile document to {out}")
     return 0
 
 

@@ -250,7 +250,6 @@ class WorkerContext:
         collect_telemetry: bool = False,
         heartbeat_interval: float = DEFAULT_HEARTBEAT_INTERVAL,
         profile: bool = False,
-        profile_memory: bool = False,
         eval_context=None,
     ):
         self.problem = problem
@@ -260,7 +259,6 @@ class WorkerContext:
         self.collect_telemetry = collect_telemetry
         self.heartbeat_interval = heartbeat_interval
         self.profile = profile
-        self.profile_memory = profile_memory
         self.eval_context = eval_context
 
     def build_objective(self) -> Objective:
@@ -496,11 +494,7 @@ def _run_worker(index: int, spec: WorkerSpec, attempt: int = 0) -> dict:
     # the metrics snapshot is taken — flushes the worker's cache totals
     # so they ride the ordinary ``payload["metrics"]`` →
     # ``merge_snapshot`` path home.
-    profiler = (
-        PhaseProfiler(memory=context.profile_memory)
-        if context.profile
-        else NOOP_PROFILER
-    )
+    profiler = PhaseProfiler() if context.profile else NOOP_PROFILER
     emitter = (
         HeartbeatEmitter(
             queue_sink(_WORKER_HEARTBEATS),
@@ -976,7 +970,6 @@ class ParallelSolveEngine:
             collect_telemetry=telemetry.enabled or profiler.enabled,
             heartbeat_interval=self.heartbeat_interval,
             profile=profiler.enabled,
-            profile_memory=getattr(profiler, "memory", False),
             eval_context=eval_context,
         )
         status = self.status

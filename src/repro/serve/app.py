@@ -197,17 +197,25 @@ class ServeApp:
         Service refusals (:class:`ServeError`) and domain errors
         (:class:`ReproError` — bad weights, unknown sources, …) map to
         their HTTP statuses with a structured error body; anything else
-        is a 500 and bumps ``serve.errors``.
+        is a 500 and bumps ``serve.errors``.  A body that is not a JSON
+        object is refused with 400.
         """
         with self._scope():
             metrics = self.telemetry.metrics
             metrics.counter("serve.requests").inc()
             started = time.perf_counter()
             try:
+                if body is None:
+                    body = {}
+                elif not isinstance(body, Mapping):
+                    raise ServeError(
+                        "request body must be a JSON object, "
+                        f"got {type(body).__name__}"
+                    )
                 with self.telemetry.span(
                     "serve.request", method=method, path=path
                 ):
-                    status, payload = self._route(method, path, body or {})
+                    status, payload = self._route(method, path, body)
             except ServeError as exc:
                 metrics.counter("serve.refused").inc()
                 return exc.status, exc.payload()
@@ -545,7 +553,22 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _handle(self, method: str) -> None:
         app: ServeApp = self.server.app  # type: ignore[attr-defined]
-        length = int(self.headers.get("Content-Length") or 0)
+        header = self.headers.get("Content-Length") or "0"
+        if not (header.isascii() and header.isdigit()):
+            # The body's extent is unknown, so the connection cannot be
+            # reused for a next request.
+            self.close_connection = True
+            self._reply(
+                400,
+                {
+                    "error": {
+                        "code": "bad_request",
+                        "message": f"bad Content-Length {header!r}",
+                    }
+                },
+            )
+            return
+        length = int(header)
         raw = self.rfile.read(length) if length else b""
         try:
             body = json.loads(raw) if raw else None

@@ -10,13 +10,6 @@ docs/observability.md for the span taxonomy and exporter formats.
 """
 
 from .chrome_trace import spans_to_chrome, trace_to_chrome, write_chrome_trace
-from .complexity import (
-    LogLogFit,
-    ProfileConfig,
-    fit_loglog,
-    render_profile_report,
-    run_profile,
-)
 from .exporters import (
     Exporter,
     InMemoryExporter,
@@ -31,7 +24,6 @@ from .profiler import (
     PhaseProfiler,
     get_profiler,
     phase_profile,
-    render_phase_report,
 )
 from .trace_report import (
     Trace,
@@ -57,7 +49,6 @@ __all__ = [
     "Histogram",
     "InMemoryExporter",
     "JsonLinesExporter",
-    "LogLogFit",
     "MetricsRegistry",
     "NOOP",
     "NOOP_PROFILER",
@@ -65,24 +56,19 @@ __all__ = [
     "NoopPhaseProfiler",
     "NoopTelemetry",
     "PhaseProfiler",
-    "ProfileConfig",
     "SpanRecord",
     "StderrSummaryExporter",
     "Telemetry",
     "Trace",
     "TraceSpan",
-    "fit_loglog",
     "get_profiler",
     "get_telemetry",
     "load_trace",
     "phase_profile",
-    "render_phase_report",
-    "render_profile_report",
     "render_span_tree",
     "render_summary",
     "render_time_table",
     "render_trace_report",
-    "run_profile",
     "spans_to_chrome",
     "time_by_name",
     "trace_to_chrome",

@@ -1,10 +1,10 @@
 """Cost attribution for the solve pipeline: the :class:`PhaseProfiler`.
 
 Spans answer "what happened when"; the profiler answers "what did each
-pipeline *phase* cost" — wall time, CPU time and (when enabled) peak and
-delta heap memory, per phase, aggregated across portfolio workers.  The
-natural phases (universe compile, similarity matrix, matching, sketch
-stacking, search, merge) are wrapped at their definition sites with::
+pipeline *phase* cost" — wall time and CPU time per phase, aggregated
+across portfolio workers.  The natural phases (universe compile,
+similarity matrix, matching, sketch stacking, search, merge) are wrapped
+at their definition sites with::
 
     with get_profiler().phase("matching"):
         ...
@@ -23,15 +23,8 @@ the metrics registry is what makes ``jobs=K`` work: worker processes
 record into their own registries, which already travel home through the
 parallel engine's ``merge_snapshot`` path, so phase costs aggregate
 across processes exactly like counters do.  The profiler therefore
-*requires an enabled tracer* to retain data — ``mube profile`` and
-:mod:`repro.telemetry.complexity` install one; under the no-op tracer an
+*requires an enabled tracer* to retain data; under the no-op tracer an
 enabled profiler measures and discards.
-
-Memory attribution uses :mod:`tracemalloc` (enabled with
-``PhaseProfiler(memory=True)``): each phase's ``mem_peak_bytes`` is the
-true high-water mark *during that phase* (a peak-stack propagates child
-peaks to parents around ``reset_peak`` calls), and ``mem_delta_bytes``
-is the retained-bytes difference across the phase.
 
 Cache analytics ride along: objects with memo tables
 (:class:`~repro.quality.overall.Objective`,
@@ -51,10 +44,8 @@ sample is running.
 
 from __future__ import annotations
 
-import io
 import threading
 import time
-import tracemalloc
 import weakref
 from typing import Any, Callable
 
@@ -67,31 +58,25 @@ PHASE_METRIC_PREFIX = "profile.phase."
 #: Counter-name prefix for flushed cache totals.
 CACHE_METRIC_PREFIX = "profile.cache."
 
-#: The per-phase metrics an enabled profiler records (memory ones only
-#: with ``memory=True``).
-PHASE_METRICS = (
-    "wall_seconds", "cpu_seconds", "mem_peak_bytes", "mem_delta_bytes",
-)
+#: The per-phase metrics an enabled profiler records.
+PHASE_METRICS = ("wall_seconds", "cpu_seconds")
 
 
 class _PhaseSpan:
     """An open phase; record on close into the active telemetry."""
 
-    __slots__ = ("_profiler", "name", "_wall0", "_cpu0", "_mem0")
+    __slots__ = ("_profiler", "name", "_wall0", "_cpu0")
 
     def __init__(self, profiler: "PhaseProfiler", name: str):
         self._profiler = profiler
         self.name = name
         self._wall0 = 0.0
         self._cpu0 = 0.0
-        self._mem0 = 0
 
     def __enter__(self) -> "_PhaseSpan":
         profiler = self._profiler
         local = profiler._local
         local.depth = getattr(local, "depth", 0) + 1
-        if profiler.memory and tracemalloc.is_tracing():
-            self._mem0 = profiler._push_mem_frame()
         self._cpu0 = time.process_time()
         self._wall0 = time.perf_counter()
         return self
@@ -104,10 +89,6 @@ class _PhaseSpan:
         base = PHASE_METRIC_PREFIX + self.name
         metrics.histogram(base + ".wall_seconds").observe(wall)
         metrics.histogram(base + ".cpu_seconds").observe(cpu)
-        if profiler.memory and tracemalloc.is_tracing():
-            delta, peak = profiler._pop_mem_frame(self._mem0)
-            metrics.histogram(base + ".mem_peak_bytes").observe(peak)
-            metrics.histogram(base + ".mem_delta_bytes").observe(delta)
         local = profiler._local
         local.depth -= 1
         profiler.sample_caches(force=local.depth == 0)
@@ -133,10 +114,6 @@ class PhaseProfiler:
 
     Parameters
     ----------
-    memory:
-        Also attribute heap memory per phase via :mod:`tracemalloc`
-        (:meth:`start` begins tracing if nothing else has).  Tracing
-        slows allocation-heavy code noticeably, so it is opt-in.
     cache_sample_interval:
         Minimum seconds between cache-probe samples; phase closes inside
         the window are skipped.  Doubles whenever the series is thinned.
@@ -150,11 +127,9 @@ class PhaseProfiler:
 
     def __init__(
         self,
-        memory: bool = False,
         cache_sample_interval: float = 0.05,
         max_cache_samples: int = 512,
     ):
-        self.memory = memory
         self.cache_sample_interval = cache_sample_interval
         self.max_cache_samples = max(2, max_cache_samples)
         self._epoch = time.perf_counter()
@@ -167,21 +142,16 @@ class PhaseProfiler:
         self._retired: dict[str, dict[str, int]] = {}
         self._cache_series: list[dict[str, Any]] = []
         self._last_sample = -float("inf")
-        self._peak_stack: list[int] = []
-        self._started_tracing = False
         self._closed = False
 
     # -- lifecycle -----------------------------------------------------------
 
     def start(self) -> None:
-        """Begin a profiled scope (starts tracemalloc when asked to)."""
-        if self.memory and not tracemalloc.is_tracing():
-            tracemalloc.start()
-            self._started_tracing = True
+        """Begin a profiled scope (restarts the cache-series clock)."""
         self._epoch = time.perf_counter()
 
     def close(self) -> None:
-        """Flush cache totals to the active telemetry and stop tracing.
+        """Flush cache totals to the active telemetry.
 
         Safe to call twice; only the first close flushes.  The final
         per-probe hit/miss/eviction totals land in ``profile.cache.*``
@@ -204,9 +174,6 @@ class PhaseProfiler:
                 metrics.counter(
                     f"{CACHE_METRIC_PREFIX}{base}.{field}"
                 ).inc(value)
-        if self._started_tracing and tracemalloc.is_tracing():
-            tracemalloc.stop()
-            self._started_tracing = False
 
     def __enter__(self) -> "PhaseProfiler":
         self.start()
@@ -220,29 +187,6 @@ class PhaseProfiler:
     def phase(self, name: str) -> _PhaseSpan:
         """A context manager attributing its body's cost to ``name``."""
         return _PhaseSpan(self, name)
-
-    def _push_mem_frame(self) -> int:
-        """Open a memory frame: reset the peak, remember retained bytes."""
-        current, _ = tracemalloc.get_traced_memory()
-        tracemalloc.reset_peak()
-        self._peak_stack.append(0)
-        return current
-
-    def _pop_mem_frame(self, start_current: int) -> tuple[int, int]:
-        """Close a memory frame → (delta bytes, true frame peak bytes).
-
-        ``tracemalloc`` keeps one global peak, which nested frames reset;
-        each frame therefore carries the running maximum of the raw peaks
-        observed while it was open, and propagates its own maximum to the
-        parent frame on close — so a parent's peak is never understated
-        by a child's reset.
-        """
-        current, peak = tracemalloc.get_traced_memory()
-        frame_peak = max(peak, self._peak_stack.pop())
-        if self._peak_stack:
-            self._peak_stack[-1] = max(self._peak_stack[-1], frame_peak)
-        tracemalloc.reset_peak()
-        return current - start_current, frame_peak
 
     # -- cache analytics -----------------------------------------------------
 
@@ -345,17 +289,13 @@ class PhaseProfiler:
         return analytics
 
     def __repr__(self) -> str:
-        return (
-            f"PhaseProfiler(memory={self.memory}, "
-            f"probes={len(self._probes)})"
-        )
+        return f"PhaseProfiler(probes={len(self._probes)})"
 
 
 class NoopPhaseProfiler:
     """The default profiler: every operation is a constant-time no-op."""
 
     enabled = False
-    memory = False
 
     __slots__ = ()
 
@@ -419,15 +359,14 @@ def _hit_rate(stats: dict) -> float:
 
 def phase_profile(
     snapshot: dict[str, Any],
-) -> dict[str, dict[str, float | None]]:
+) -> dict[str, dict[str, float]]:
     """Per-phase cost aggregates parsed from a metrics snapshot.
 
     The snapshot may come straight from a live registry or from a
     ``--trace`` file's final metrics record; worker-merged registries
-    yield cross-process totals.  Phases with no memory attribution
-    report ``None`` for the memory fields.
+    yield cross-process totals.
     """
-    phases: dict[str, dict[str, float | None]] = {}
+    phases: dict[str, dict[str, float]] = {}
     for name, summary in snapshot.get("histograms", {}).items():
         if not name.startswith(PHASE_METRIC_PREFIX):
             continue
@@ -443,8 +382,6 @@ def phase_profile(
                 "cpu_seconds": 0.0,
                 "wall_mean_seconds": 0.0,
                 "wall_p99_seconds": 0.0,
-                "mem_peak_bytes": None,
-                "mem_delta_bytes": None,
             },
         )
         if metric == "wall_seconds":
@@ -452,12 +389,8 @@ def phase_profile(
             row["wall_seconds"] = float(summary.get("total", 0.0))
             row["wall_mean_seconds"] = float(summary.get("mean", 0.0))
             row["wall_p99_seconds"] = float(summary.get("p99", 0.0))
-        elif metric == "cpu_seconds":
+        else:
             row["cpu_seconds"] = float(summary.get("total", 0.0))
-        elif metric == "mem_peak_bytes":
-            row["mem_peak_bytes"] = float(summary.get("max", 0.0))
-        elif metric == "mem_delta_bytes":
-            row["mem_delta_bytes"] = float(summary.get("total", 0.0))
     return phases
 
 
@@ -473,71 +406,3 @@ def cache_totals(snapshot: dict[str, Any]) -> dict[str, dict[str, int]]:
             continue
         totals.setdefault(cache, {})[field] = int(value)
     return totals
-
-
-def render_phase_report(
-    snapshot: dict[str, Any],
-    analytics: dict[str, dict[str, Any]] | None = None,
-) -> str:
-    """The human-readable phase table (plus cache analytics when given)."""
-    phases = phase_profile(snapshot)
-    out = io.StringIO()
-    if not phases:
-        out.write("(no phase profiles recorded)\n")
-    else:
-        width = max(len(name) for name in phases)
-        width = max(width, len("phase"))
-        has_memory = any(
-            row["mem_peak_bytes"] is not None for row in phases.values()
-        )
-        header = (
-            f"{'phase':<{width}} {'calls':>7} {'wall s':>9} {'cpu s':>9} "
-            f"{'mean ms':>9}"
-        )
-        if has_memory:
-            header += f" {'peak MB':>9} {'delta MB':>9}"
-        out.write(header + "\n")
-        for name in sorted(
-            phases, key=lambda n: -phases[n]["wall_seconds"]
-        ):
-            row = phases[name]
-            line = (
-                f"{name:<{width}} {row['calls']:>7.0f} "
-                f"{row['wall_seconds']:>9.3f} {row['cpu_seconds']:>9.3f} "
-                f"{row['wall_mean_seconds'] * 1e3:>9.3f}"
-            )
-            if has_memory:
-                peak = row["mem_peak_bytes"]
-                delta = row["mem_delta_bytes"]
-                line += (
-                    f" {_mb(peak):>9} {_mb(delta):>9}"
-                )
-            out.write(line + "\n")
-    caches = cache_totals(snapshot)
-    if caches:
-        out.write("\ncache totals (merged across workers):\n")
-        for name in sorted(caches):
-            stats = caches[name]
-            rate = _hit_rate(stats)
-            out.write(
-                f"  {name:<20} {stats.get('hits', 0):>10} hits "
-                f"{stats.get('misses', 0):>10} misses "
-                f"{stats.get('evictions', 0):>8} evictions "
-                f"{rate:>7.1%}\n"
-            )
-    if analytics:
-        out.write("\ncache hit-ratio over time:\n")
-        for name in sorted(analytics):
-            series = analytics[name]["series"]
-            if not series:
-                continue
-            tail = series[-1]
-            out.write(
-                f"  {name:<20} {len(series)} samples, "
-                f"final {tail['hit_rate']:.1%} at t={tail['t']:.2f}s\n"
-            )
-    return out.getvalue()
-
-
-def _mb(value: float | None) -> str:
-    return "—" if value is None else f"{value / 1e6:.2f}"

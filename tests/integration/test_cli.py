@@ -20,13 +20,6 @@ class TestParser:
         assert args.choose == 10
         assert args.optimizer == "tabu"
 
-    def test_profile_defaults(self):
-        args = build_parser().parse_args(["profile"])
-        assert args.scale == "40,80,160"
-        assert args.choose == 8
-        assert args.memory is False
-        assert args.out is None
-
     def test_trace_report_chrome_defaults_off(self):
         args = build_parser().parse_args(["trace-report", "t.jsonl"])
         assert args.chrome is None
@@ -327,45 +320,3 @@ class TestExplainCommands:
         bad = tmp_path / "missing-dir" / "chrome.json"
         assert main(["trace-report", str(trace), "--chrome", str(bad)]) == 2
         assert "cannot write chrome trace" in capsys.readouterr().err
-
-
-class TestProfileCommand:
-    def test_profile_emits_report_and_document(self, capsys, tmp_path):
-        import json
-
-        out = tmp_path / "PROFILE_smoke.json"
-        assert (
-            main(
-                [
-                    "profile", "--scale", "8,12", "--choose", "3",
-                    "--iterations", "4", "--out", str(out),
-                ]
-            )
-            == 0
-        )
-        text = capsys.readouterr().out
-        assert "slope" in text
-        assert "search" in text
-        document = json.loads(out.read_text(encoding="utf-8"))
-        assert document["kind"] == "mube-profile"
-        assert "search.slope" in document["metrics"]
-
-    def test_profile_stdout_only(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        assert (
-            main(
-                [
-                    "profile", "--scale", "8,12", "--choose", "3",
-                    "--iterations", "4", "--out", "-",
-                ]
-            )
-            == 0
-        )
-        assert "wrote profile document" not in capsys.readouterr().out
-        assert list(tmp_path.glob("PROFILE_*.json")) == []
-
-    def test_profile_rejects_bad_scales(self, capsys):
-        assert main(["profile", "--scale", "abc"]) == 2
-        assert "comma-separated" in capsys.readouterr().err
-        assert main(["profile", "--scale", "1"]) == 2
-        assert "≥ 2" in capsys.readouterr().err

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import http.client
 import json
 import time
 import urllib.error
@@ -176,6 +177,20 @@ class TestSessionEndpoints:
         )
         assert status == 422
         assert "error" in payload
+
+    @pytest.mark.parametrize("body", [[1], "x", 3, []])
+    def test_non_object_body_is_a_400(self, app, body):
+        _, created = app.dispatch("POST", "/sessions", {})
+        sid = created["session_id"]
+        for path in (
+            "/sessions", "/solve", f"/sessions/{sid}/edits",
+            f"/sessions/{sid}/solve",
+        ):
+            status, payload = app.dispatch("POST", path, body)
+            assert status == 400, path
+            assert payload["error"]["code"] == "bad_request"
+            assert "JSON object" in payload["error"]["message"]
+        assert app.telemetry.metrics.counter_value("serve.errors") == 0
 
 
 class TestJobEndpoints:
@@ -363,3 +378,19 @@ class TestLiveHTTP:
             urllib.request.urlopen(request, timeout=10.0)
         assert excinfo.value.code == 400
         assert json.loads(excinfo.value.read())["error"]["code"] == "bad_json"
+
+    @pytest.mark.parametrize("length", ["abc", "-5", "+5"])
+    def test_bad_content_length_is_a_400(self, server, length):
+        host, port = server.server_address[:2]
+        connection = http.client.HTTPConnection(host, port, timeout=10.0)
+        try:
+            connection.putrequest("POST", "/sessions")
+            connection.putheader("Content-Length", length)
+            connection.endheaders()
+            response = connection.getresponse()
+            assert response.status == 400
+            error = json.loads(response.read())["error"]
+        finally:
+            connection.close()
+        assert error["code"] == "bad_request"
+        assert length in error["message"]

@@ -24,7 +24,6 @@ from repro.telemetry import (
     Telemetry,
     get_profiler,
     phase_profile,
-    render_phase_report,
 )
 from repro.telemetry.profiler import (
     CACHE_METRIC_PREFIX,
@@ -91,32 +90,6 @@ class TestPhaseRecording:
         phases = phase_profile(telemetry.metrics.snapshot())
         assert phases["search"]["calls"] == 1
         assert phases["matching"]["calls"] == 2
-        assert phases["matching"]["mem_peak_bytes"] is None
-
-    def test_memory_mode_attributes_peaks_to_parents(self, telemetry):
-        profiler = PhaseProfiler(memory=True)
-        with profiler:
-            with profiler.phase("outer"):
-                with profiler.phase("inner"):
-                    blob = bytearray(4_000_000)
-                del blob
-        phases = phase_profile(telemetry.metrics.snapshot())
-        inner_peak = phases["inner"]["mem_peak_bytes"]
-        outer_peak = phases["outer"]["mem_peak_bytes"]
-        assert inner_peak >= 4_000_000
-        # tracemalloc's global peak is reset by the inner frame; the
-        # peak stack must still credit the allocation to the parent.
-        assert outer_peak >= inner_peak
-
-    def test_memory_mode_stops_tracing_it_started(self):
-        import tracemalloc
-
-        assert not tracemalloc.is_tracing()
-        profiler = PhaseProfiler(memory=True)
-        profiler.start()
-        assert tracemalloc.is_tracing()
-        profiler.close()
-        assert not tracemalloc.is_tracing()
 
     def test_close_is_idempotent(self, telemetry):
         hits = {"hits": 3, "misses": 1}
@@ -333,7 +306,7 @@ class TestPipelineIntegration:
 
         bare = solve()
         telemetry = Telemetry()
-        profiler = PhaseProfiler(memory=True)
+        profiler = PhaseProfiler()
         with run_scope(telemetry=telemetry, profiler=profiler), profiler:
             profiled = solve()
         assert profiled.solution.selected == bare.solution.selected
@@ -356,22 +329,3 @@ class TestPipelineIntegration:
         # Two workers each ran a search phase; merge is parent-side.
         assert phases["search"]["calls"] >= 2
         assert phases["merge"]["calls"] == 1
-
-
-class TestRendering:
-    def test_report_lists_phases_and_caches(self, telemetry):
-        profiler = PhaseProfiler()
-        profiler.add_cache_probe("memo", lambda: {"hits": 1, "misses": 1})
-        with profiler:
-            with profiler.phase("similarity"):
-                pass
-            analytics = profiler.cache_analytics()
-        report = render_phase_report(
-            telemetry.metrics.snapshot(), analytics
-        )
-        assert "similarity" in report
-        assert "cache totals" in report
-        assert "hit-ratio over time" in report
-
-    def test_empty_snapshot_renders_placeholder(self):
-        assert "no phase profiles" in render_phase_report({})

@@ -4,15 +4,12 @@
 glob misses silently never runs, so this pins the discovery contract —
 new suites are picked up with no registration step, ``--only`` filters
 by substring, and ``--list`` previews the roster without spawning any
-pytest subprocesses.  The second half covers ``benchmarks/track.py``,
-the regression tracker that consumes the runner's reports and
-``BENCH_index.json`` manifest.
+pytest subprocesses.
 """
 
 from __future__ import annotations
 
 import importlib.util
-import json
 from pathlib import Path
 
 BENCH_DIR = Path(__file__).resolve().parent.parent / "benchmarks"
@@ -28,7 +25,6 @@ def load_bench_module(filename: str):
 
 
 run_all = load_bench_module("run_all.py")
-track = load_bench_module("track.py")
 
 
 class TestDiscovery:
@@ -68,106 +64,3 @@ class TestListFlag:
         status = run_all.main(["--list", "--only", "no-such-bench"])
         assert status == 2
         assert "no bench files match" in capsys.readouterr().err
-
-
-def write_report(directory: Path, suite: str, means: dict[str, float]):
-    """A minimal pytest-benchmark JSON report for one suite."""
-    payload = {
-        "benchmarks": [
-            {"name": name, "stats": {"mean": mean}}
-            for name, mean in means.items()
-        ]
-    }
-    path = directory / f"BENCH_{suite}.json"
-    path.write_text(json.dumps(payload))
-    return path
-
-
-class TestTrackDiscovery:
-    def test_glob_fallback_skips_index_and_history(self, tmp_path):
-        write_report(tmp_path, "alpha", {"test_a": 1.0})
-        (tmp_path / "BENCH_index.json").unlink(missing_ok=True)
-        (tmp_path / "BENCH_history.jsonl").write_text("")
-        reports = track.discover_reports(tmp_path)
-        assert [r.name for r in reports] == ["BENCH_alpha.json"]
-
-    def test_manifest_wins_over_stale_reports(self, tmp_path):
-        write_report(tmp_path, "alpha", {"test_a": 1.0})
-        write_report(tmp_path, "stale", {"test_old": 9.0})
-        (tmp_path / "BENCH_index.json").write_text(
-            json.dumps(
-                {
-                    "suites": [
-                        {"suite": "bench_alpha", "report": "BENCH_alpha.json",
-                         "exists": True, "status": 0},
-                        {"suite": "bench_gone", "report": "BENCH_gone.json",
-                         "exists": False, "status": 1},
-                    ]
-                }
-            )
-        )
-        reports = track.discover_reports(tmp_path)
-        assert [r.name for r in reports] == ["BENCH_alpha.json"]
-
-    def test_extract_means_keys_suite_and_name(self, tmp_path):
-        report = write_report(tmp_path, "alpha", {"test_a": 0.5, "test_b": 2.0})
-        assert track.extract_means(report) == {
-            "alpha::test_a": 0.5,
-            "alpha::test_b": 2.0,
-        }
-
-
-class TestTrackGate:
-    def run(self, tmp_path, argv=()):
-        return track.main(["--reports-dir", str(tmp_path), *argv])
-
-    def test_cold_history_records_and_passes(self, tmp_path, capsys):
-        write_report(tmp_path, "alpha", {"test_a": 1.0})
-        assert self.run(tmp_path) == 0
-        assert "(new)" in capsys.readouterr().out
-        history = (tmp_path / "BENCH_history.jsonl").read_text().splitlines()
-        assert len(history) == 1
-        assert json.loads(history[0])["results"] == {"alpha::test_a": 1.0}
-
-    def test_steady_means_pass_the_gate(self, tmp_path):
-        write_report(tmp_path, "alpha", {"test_a": 1.0})
-        assert self.run(tmp_path) == 0
-        assert self.run(tmp_path) == 0
-
-    def test_regression_past_threshold_gates(self, tmp_path, capsys):
-        write_report(tmp_path, "alpha", {"test_a": 1.0})
-        assert self.run(tmp_path) == 0
-        write_report(tmp_path, "alpha", {"test_a": 2.0})
-        assert self.run(tmp_path, ["--threshold", "0.5"]) == 1
-        assert "REGRESSION" in capsys.readouterr().out
-
-    def test_record_only_never_gates(self, tmp_path):
-        write_report(tmp_path, "alpha", {"test_a": 1.0})
-        assert self.run(tmp_path) == 0
-        write_report(tmp_path, "alpha", {"test_a": 100.0})
-        assert self.run(tmp_path, ["--record-only"]) == 0
-        # ...but it still recorded: three entries would now gate a
-        # fourth run whose median baseline absorbed the outlier.
-        history = (tmp_path / "BENCH_history.jsonl").read_text().splitlines()
-        assert len(history) == 2
-
-    def test_median_window_absorbs_one_outlier(self, tmp_path):
-        write_report(tmp_path, "alpha", {"test_a": 1.0})
-        for _ in range(3):
-            assert self.run(tmp_path) == 0
-        write_report(tmp_path, "alpha", {"test_a": 50.0})
-        assert self.run(tmp_path, ["--record-only"]) == 0
-        # Median of (1, 1, 1, 50) is 1.0: the outlier does not poison
-        # the baseline, and a normal run still passes.
-        write_report(tmp_path, "alpha", {"test_a": 1.1})
-        assert self.run(tmp_path) == 0
-
-    def test_new_benchmark_never_gates(self, tmp_path):
-        write_report(tmp_path, "alpha", {"test_a": 1.0})
-        assert self.run(tmp_path) == 0
-        write_report(tmp_path, "alpha", {"test_a": 1.0, "test_new": 9.0})
-        assert self.run(tmp_path) == 0
-
-    def test_no_reports_is_an_error(self, tmp_path, capsys):
-        assert self.run(tmp_path) == 2
-        assert "no BENCH_" in capsys.readouterr().err
