@@ -2,8 +2,8 @@
 
 The acceptance bar for the solve service (ISSUE 10): at least 8
 concurrent sessions share one resident universe with **zero re-compiles
-after warmup** — verified against the ``profile.phase.compile``
-histogram and the ``session.delta.context_shared`` / ``context_rebuilt``
+after warmup** — verified against the ``quality.compile`` span count
+and the ``session.delta.context_shared`` / ``context_rebuilt``
 counters, not against wishful thinking — and two concurrent sessions
 given identical edits produce solutions **bit-identical** to a solo run.
 
@@ -24,7 +24,7 @@ import pytest
 
 from repro.run_context import run_scope
 from repro.serve import ResidentUniverse, ServeApp
-from repro.telemetry import PhaseProfiler, Telemetry
+from repro.telemetry import Telemetry
 
 from common import bench_scale, cached_workload
 
@@ -44,12 +44,12 @@ SESSIONS, ROUNDS, N_SOURCES = LOAD
 #: probe); every other thread gets a distinct one.
 TWIN_SOURCE = 5
 
-COMPILE_HISTOGRAM = "profile.phase.compile.wall_seconds"
+#: The span every ``EvalContext`` compile (cold or patched) opens.
+COMPILE_SPAN = "quality.compile"
 
 
 def compile_count(telemetry) -> int:
-    histograms = telemetry.metrics.snapshot().get("histograms", {})
-    return histograms.get(COMPILE_HISTOGRAM, {}).get("count", 0)
+    return telemetry.span_summary().get(COMPILE_SPAN, {}).get("count", 0)
 
 
 def script_for(thread: int) -> list[tuple[str, dict]]:
@@ -91,9 +91,7 @@ def run_client(app, thread: int, latencies: list[float]) -> list[dict]:
 
 def test_concurrent_sessions_share_resident_universe(benchmark, tmp_path):
     telemetry = Telemetry()
-    profiler = PhaseProfiler()
-    profiler.start()
-    with run_scope(telemetry=telemetry, profiler=profiler):
+    with run_scope(telemetry=telemetry):
         # Warmup: the one and only compile the service ever performs.
         workload = cached_workload(N_SOURCES)
         resident = ResidentUniverse(
@@ -106,7 +104,6 @@ def test_concurrent_sessions_share_resident_universe(benchmark, tmp_path):
         {resident.name: resident},
         job_dir=tmp_path / "jobs",
         telemetry=telemetry,
-        profile=True,
     )
     with app:
         # The solo reference for the bit-identity clause, before load.
@@ -142,7 +139,7 @@ def test_concurrent_sessions_share_resident_universe(benchmark, tmp_path):
 
         counters = telemetry.metrics.snapshot().get("counters", {})
 
-    # Zero re-compiles after warmup: the compile histogram never moved
+    # Zero re-compiles after warmup: the compile span count never moved
     # again, every cold solve adopted the resident context, and the
     # delta planner never fell back to a rebuild.
     recompiles = compile_count(telemetry) - warm_compiles

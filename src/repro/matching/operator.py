@@ -29,7 +29,7 @@ from ..core import (
 from ..exceptions import ConstraintError
 from ..similarity.matrix import NameSimilarityMatrix
 from ..similarity.measures import SimilarityMeasure, default_measure
-from ..telemetry import get_profiler, get_telemetry
+from ..telemetry import get_telemetry
 from .cluster import Cluster
 from .greedy import greedy_constrained_clustering
 
@@ -100,7 +100,6 @@ class MatchOperator:
         get_telemetry().metrics.gauge("match.constraint_seeds").set(
             len(self.seeds)
         )
-        get_profiler().add_cache_probe("match.memo", self.cache_info)
 
     @classmethod
     def for_problem(
@@ -150,9 +149,7 @@ class MatchOperator:
         else:
             self.memo_misses += 1
             telemetry.metrics.counter("match.memo_misses").inc()
-            with get_profiler().phase("matching"), telemetry.span(
-                "match.evaluate", size=len(selection)
-            ):
+            with telemetry.span("match.evaluate", size=len(selection)):
                 result = self._cluster(selection)
             while self._cache and len(self._cache) >= self._cache_size:
                 # LRU eviction: drop the stalest selection, never the whole

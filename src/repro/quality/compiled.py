@@ -38,7 +38,7 @@ import numpy as np
 
 from ..core import CARDINALITY, COVERAGE, REDUNDANCY, Problem
 from ..sketch.stacked import StackedSketches, pcsa_estimate
-from ..telemetry import get_profiler
+from ..telemetry import get_telemetry
 from .base import clamp_unit
 from .characteristics import CharacteristicQEF
 from .data_metrics import CardinalityQEF, CoverageQEF, RedundancyQEF
@@ -109,7 +109,7 @@ class EvalContext:
         :class:`RedundancyQEF` (estimated, not exact) and stock
         :class:`CharacteristicQEF` instances are vectorized.
         """
-        with get_profiler().phase("compile"):
+        with get_telemetry().span("quality.compile"):
             return cls._compile(problem, qefs)
 
     @classmethod
@@ -135,7 +135,7 @@ class EvalContext:
         refers to the *same* source — the session's delta planner falls
         back to a cold compile when an id is rebound.
         """
-        with get_profiler().phase("compile"):
+        with get_telemetry().span("quality.compile"):
             universe = problem.universe
             sources = universe.select(universe.source_ids)
             stacked: StackedSketches | None = None

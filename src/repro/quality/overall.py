@@ -51,7 +51,7 @@ from ..explain.events import SelectionScored, get_event_log
 from ..matching.operator import MatchOperator
 from ..similarity.matrix import NameSimilarityMatrix
 from ..similarity.measures import SimilarityMeasure
-from ..telemetry import get_profiler, get_telemetry
+from ..telemetry import get_telemetry
 from .characteristics import CharacteristicQEF
 from .compiled import EvalContext
 from .data_metrics import CardinalityQEF, CoverageQEF, RedundancyQEF
@@ -114,7 +114,6 @@ class Objective:
         self._evaluations = 0
         self._cache_hits = 0
         self._cache_evictions = 0
-        get_profiler().add_cache_probe("objective.memo", self.cache_info)
 
     @property
     def evaluations(self) -> int:

@@ -1,9 +1,9 @@
 """The ambient run context: what a solve reads without parameter threading.
 
 Library code deep inside a solve (a PCSA union, an Algorithm 1 merge, an
-optimizer iteration) asks for the active tracer, phase profiler, decision
-log, cooperative stop check and progress hook at call time.  All five
-live in one immutable :class:`RunContext` held in one
+optimizer iteration) asks for the active tracer, decision log,
+cooperative stop check and progress hook at call time.  All four live
+in one immutable :class:`RunContext` held in one
 :class:`~contextvars.ContextVar`, installed for a block with
 :func:`run_scope`::
 
@@ -19,8 +19,7 @@ stop signal, and nothing a scope installs outlives it.
 
 This module is a leaf (it imports nothing from the package): every field
 defaults to ``None``, and each reader maps ``None`` to its own module's
-no-op — :func:`~repro.telemetry.get_telemetry`,
-:func:`~repro.telemetry.get_profiler` and
+no-op — :func:`~repro.telemetry.get_telemetry` and
 :func:`~repro.explain.get_event_log`.
 """
 
@@ -41,8 +40,6 @@ class RunContext:
     ----------
     telemetry:
         The active :class:`~repro.telemetry.Telemetry`.
-    profiler:
-        The active :class:`~repro.telemetry.PhaseProfiler`.
     events:
         The active :class:`~repro.explain.EventLog`.
     stop_check:
@@ -55,7 +52,6 @@ class RunContext:
     """
 
     telemetry: Any = None
-    profiler: Any = None
     events: Any = None
     stop_check: Callable[[], bool] | None = None
     progress_hook: Callable[[Sequence[Any]], None] | None = None

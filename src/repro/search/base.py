@@ -22,7 +22,7 @@ from ..core import Solution, worst_solution
 from ..exceptions import SearchError
 from ..quality.overall import Objective
 from ..run_context import current_run
-from ..telemetry import get_profiler, get_telemetry
+from ..telemetry import get_telemetry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from .parallel import PortfolioStats
@@ -127,9 +127,7 @@ class Optimizer(ABC):
         evaluations_before = getattr(objective, "evaluations", 0)
         hits_before = getattr(operator, "memo_hits", 0)
         misses_before = getattr(operator, "memo_misses", 0)
-        with get_profiler().phase("search"), telemetry.span(
-            "search.solve", optimizer=self.name
-        ) as span:
+        with telemetry.span("search.solve", optimizer=self.name) as span:
             result = self._optimize(objective, initial)
             span.set(
                 iterations=result.stats.iterations,

@@ -86,11 +86,8 @@ from ..run_context import run_scope
 from ..similarity.matrix import NameSimilarityMatrix
 from ..telemetry import (
     NOOP,
-    NOOP_PROFILER,
     InMemoryExporter,
-    PhaseProfiler,
     Telemetry,
-    get_profiler,
     get_telemetry,
 )
 from ..telemetry.observatory.heartbeat import (
@@ -249,7 +246,6 @@ class WorkerContext:
         stop_quality: float | None = None,
         collect_telemetry: bool = False,
         heartbeat_interval: float = DEFAULT_HEARTBEAT_INTERVAL,
-        profile: bool = False,
         eval_context=None,
     ):
         self.problem = problem
@@ -258,7 +254,6 @@ class WorkerContext:
         self.stop_quality = stop_quality
         self.collect_telemetry = collect_telemetry
         self.heartbeat_interval = heartbeat_interval
-        self.profile = profile
         self.eval_context = eval_context
 
     def build_objective(self) -> Objective:
@@ -489,12 +484,6 @@ def _run_worker(index: int, spec: WorkerSpec, attempt: int = 0) -> dict:
     telemetry = (
         Telemetry(exporters=[exporter]) if context.collect_telemetry else NOOP
     )
-    # A worker-local profiler when the parent profiles: it records into
-    # the worker's tracer, and its close — still inside the scope, before
-    # the metrics snapshot is taken — flushes the worker's cache totals
-    # so they ride the ordinary ``payload["metrics"]`` →
-    # ``merge_snapshot`` path home.
-    profiler = PhaseProfiler() if context.profile else NOOP_PROFILER
     emitter = (
         HeartbeatEmitter(
             queue_sink(_WORKER_HEARTBEATS),
@@ -509,11 +498,10 @@ def _run_worker(index: int, spec: WorkerSpec, attempt: int = 0) -> dict:
     try:
         with run_scope(
             telemetry=telemetry,
-            profiler=profiler,
             events=None,
             stop_check=stop_check,
             progress_hook=emitter,
-        ), profiler:
+        ):
             result = _execute_spec(context, spec)
     except Exception as exc:  # noqa: BLE001 - shipped home as the outcome
         return {"index": index, "error": f"{type(exc).__name__}: {exc}"}
@@ -957,19 +945,13 @@ class ParallelSolveEngine:
                     # best — but an explicit caller `initial` always
                     # wins over the checkpoint's.
                     initial = frozenset(resume.best_selection)
-        profiler = get_profiler()
         context = WorkerContext(
             problem=problem,
             similarity=similarity,
             initial=initial,
             stop_quality=self.stop_quality,
-            # Profiling rides the worker tracer home, so an enabled
-            # profiler forces span/metrics collection even when the
-            # parent isn't tracing (the data only survives when the
-            # parent tracer is real — see repro.telemetry.profiler).
-            collect_telemetry=telemetry.enabled or profiler.enabled,
+            collect_telemetry=telemetry.enabled,
             heartbeat_interval=self.heartbeat_interval,
-            profile=profiler.enabled,
             eval_context=eval_context,
         )
         status = self.status
@@ -992,9 +974,8 @@ class ParallelSolveEngine:
                 else:
                     early_stopped = self._solve_pool(run)
             elapsed = time.perf_counter() - started
-            with profiler.phase("merge"):
-                outcomes = run.outcomes()
-                winner = select_winner(outcomes)
+            outcomes = run.outcomes()
+            winner = select_winner(outcomes)
             if winner is None:
                 reasons = "; ".join(
                     f"worker {o.index} ({o.label}): {o.error}"
@@ -1106,7 +1087,7 @@ class ParallelSolveEngine:
         recorded as timed out — keeping inline outcomes consistent with
         what the pool path would have recorded for the same schedule.
         Each attempt runs under a run scope that inherits the live
-        tracer, profiler and event log and names its own stop check (the
+        tracer and event log and names its own stop check (the
         shared flag, when an early-stop bound is set) and heartbeat
         emitter.
         """

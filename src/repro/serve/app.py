@@ -9,7 +9,7 @@ parses the request line, hands off to ``dispatch``, and writes JSON
 back; stdlib only, per the no-new-hard-dependency rule.
 
 Concurrency model, in one paragraph: every request, and the job runner
-thread, runs under ``run_scope(telemetry=app.telemetry, profiler=...)``
+thread, runs under ``run_scope(telemetry=app.telemetry)``
 (:mod:`repro.run_context`), so all of them record into the app's single
 :class:`~repro.telemetry.Telemetry` while nothing is installed
 process-wide — two apps in one process, or library code on other
@@ -32,7 +32,7 @@ from urllib.parse import urlparse
 
 from ..exceptions import ReproError
 from ..run_context import run_scope
-from ..telemetry import PhaseProfiler, Telemetry
+from ..telemetry import Telemetry
 from .state import (
     Job,
     JobManager,
@@ -125,9 +125,8 @@ class ServeApp:
     """The resident service: universes + sessions + jobs behind one API.
 
     Use as a context manager (or call :meth:`start`/:meth:`close`):
-    entering starts a phase profiler (when the profiler tier is present)
-    and the job runner; exiting stops both.  The app's telemetry and
-    profiler are scoped to its own requests and job runner, never
+    entering starts the job runner; exiting stops it.  The app's
+    telemetry is scoped to its own requests and job runner, never
     installed process-wide.
     """
 
@@ -141,7 +140,6 @@ class ServeApp:
         default_jobs: int = 1,
         telemetry: Telemetry | None = None,
         tiers: Mapping[str, bool] | None = None,
-        profile: bool = True,
     ):
         if not universes:
             raise UnknownUniverseError("the service needs >= 1 universe")
@@ -154,32 +152,23 @@ class ServeApp:
         )
         self.jobs = JobManager(job_dir, self._run_job)
         self.default_jobs = default_jobs
-        self.profile = profile and self.tiers.get("profiler", False)
         self.started_at = time.time()
-        self._profiler: PhaseProfiler | None = None
 
     # -- lifecycle ------------------------------------------------------------
 
     def start(self) -> "ServeApp":
-        """Start the profiler and the job runner (which runs in scope)."""
-        if self.profile:
-            self._profiler = PhaseProfiler()
-            self._profiler.start()
+        """Start the job runner (which runs in scope)."""
         with self._scope():
             self.jobs.start()
         return self
 
     def close(self) -> None:
-        """Stop the job runner and flush the profiler's cache totals."""
+        """Stop the job runner."""
         self.jobs.close()
-        if self._profiler is not None:
-            with self._scope():
-                self._profiler.close()
-            self._profiler = None
 
     def _scope(self):
         """The run scope every request and job of this app runs under."""
-        return run_scope(telemetry=self.telemetry, profiler=self._profiler)
+        return run_scope(telemetry=self.telemetry)
 
     def __enter__(self) -> "ServeApp":
         return self.start()
@@ -318,14 +307,12 @@ class ServeApp:
 
     def _metrics(self) -> dict:
         snapshot = self.telemetry.metrics.snapshot()
-        payload = {
+        return {
             "counters": snapshot.get("counters", {}),
             "gauges": snapshot.get("gauges", {}),
             "histograms": snapshot.get("histograms", {}),
+            "spans": self.telemetry.span_summary(),
         }
-        if self._profiler is not None:
-            payload["cache"] = self._profiler.cache_analytics()
-        return payload
 
     def _runs(self) -> dict:
         if not self.tiers.get("observatory", False):
@@ -544,6 +531,10 @@ class ServeApp:
 
 # -- the HTTP shim ------------------------------------------------------------
 
+#: The largest request body the shim reads; a longer ``Content-Length``
+#: is refused with 413 before any of the body is read.
+MAX_BODY_BYTES = 8 * 1024 * 1024
+
 
 class _Handler(BaseHTTPRequestHandler):
     """Parse → dispatch → JSON; all routing lives in :class:`ServeApp`."""
@@ -555,20 +546,19 @@ class _Handler(BaseHTTPRequestHandler):
         app: ServeApp = self.server.app  # type: ignore[attr-defined]
         header = self.headers.get("Content-Length") or "0"
         if not (header.isascii() and header.isdigit()):
-            # The body's extent is unknown, so the connection cannot be
-            # reused for a next request.
-            self.close_connection = True
-            self._reply(
-                400,
-                {
-                    "error": {
-                        "code": "bad_request",
-                        "message": f"bad Content-Length {header!r}",
-                    }
-                },
+            self._refuse_body(
+                400, "bad_request", f"bad Content-Length {header!r}"
             )
             return
         length = int(header)
+        if length > MAX_BODY_BYTES:
+            # ``rfile.read(n)`` allocates all ``n`` bytes up front.
+            self._refuse_body(
+                413,
+                "payload_too_large",
+                f"Content-Length {length} exceeds {MAX_BODY_BYTES} bytes",
+            )
+            return
         raw = self.rfile.read(length) if length else b""
         try:
             body = json.loads(raw) if raw else None
@@ -581,6 +571,15 @@ class _Handler(BaseHTTPRequestHandler):
         path = urlparse(self.path).path
         status, payload = app.dispatch(method, path, body)
         self._reply(status, payload)
+
+    def _refuse_body(self, status: int, code: str, message: str) -> None:
+        """Refuse a request whose body goes unread.
+
+        The unread body still sits on the socket, so the connection
+        cannot be reused for a next request.
+        """
+        self.close_connection = True
+        self._reply(status, {"error": {"code": code, "message": message}})
 
     def _reply(self, status: int, payload: dict) -> None:
         data = json.dumps(payload, default=str).encode("utf-8")

@@ -111,11 +111,10 @@ class JobNotDoneError(ServeError):
 #: core solve endpoints working when any (or all) are absent — the
 #: graceful-degradation contract.  ``scipy`` is consumed indirectly (the
 #: similarity blocking layer already falls back to numpy), so the tier
-#: only *reports*; ``profiler`` gates phase/cache profiling of requests;
-#: ``observatory`` gates run-registry recording and the ``/runs`` view.
+#: only *reports*; ``observatory`` gates run-registry recording and the
+#: ``/runs`` view.
 OPTIONAL_TIERS: dict[str, str] = {
     "scipy": "scipy.sparse",
-    "profiler": "repro.telemetry.profiler",
     "observatory": "repro.telemetry.observatory",
 }
 
@@ -496,8 +495,8 @@ class JobManager:
         """Start the runner thread (idempotent).
 
         The thread runs in a copy of the caller's run context
-        (:mod:`repro.run_context`), so jobs record into the tracer and
-        profiler the starting code had in scope.
+        (:mod:`repro.run_context`), so jobs record into the tracer the
+        starting code had in scope.
         """
         if self._thread is not None and self._thread.is_alive():
             return

@@ -50,7 +50,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from ..exceptions import ReproError
-from ..telemetry import get_profiler, get_telemetry
+from ..telemetry import get_telemetry
 from .measures import SetSimilarityMeasure
 
 try:  # scipy is optional: the numpy postings path is always available.
@@ -285,26 +285,20 @@ def blocked_scores(
     paths.  With ``row_limit`` only pairs touching a name at or past that
     row are scored (the rest are already known to the caller).
     """
-    profiler = get_profiler()
     telemetry = get_telemetry()
-    with profiler.phase("similarity.index"):
-        index = build_gram_index(names, measure)
-    with profiler.phase("similarity.candidates"):
-        rows, cols, inter = exact_candidates(index, row_limit)
-    with profiler.phase("similarity.score"):
-        values = np.asarray(
-            measure.score_counts(
-                inter, index.sizes[rows], index.sizes[cols]
-            ),
-            dtype=np.float64,
+    index = build_gram_index(names, measure)
+    rows, cols, inter = exact_candidates(index, row_limit)
+    values = np.asarray(
+        measure.score_counts(inter, index.sizes[rows], index.sizes[cols]),
+        dtype=np.float64,
+    )
+    empty_rows, empty_cols = _empty_pairs(index, row_limit)
+    if len(empty_rows):
+        rows = np.concatenate((rows, empty_rows))
+        cols = np.concatenate((cols, empty_cols))
+        values = np.concatenate(
+            (values, np.ones(len(empty_rows), dtype=np.float64))
         )
-        empty_rows, empty_cols = _empty_pairs(index, row_limit)
-        if len(empty_rows):
-            rows = np.concatenate((rows, empty_rows))
-            cols = np.concatenate((cols, empty_cols))
-            values = np.concatenate(
-                (values, np.ones(len(empty_rows), dtype=np.float64))
-            )
     n = len(index)
     if row_limit is None:
         total = n * (n - 1) // 2

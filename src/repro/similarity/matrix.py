@@ -33,7 +33,7 @@ from collections.abc import Iterable, Sequence, Sized
 import numpy as np
 
 from ..exceptions import ReproError
-from ..telemetry import get_profiler, get_telemetry
+from ..telemetry import get_telemetry
 from .blocking import BlockedScores, blocked_scores
 from .measures import SetSimilarityMeasure, SimilarityMeasure
 
@@ -79,7 +79,7 @@ class NameSimilarityMatrix:
         telemetry = get_telemetry()
         vocabulary = tuple(dict.fromkeys(names))
         size = len(vocabulary)
-        with get_profiler().phase("similarity"), telemetry.span(
+        with telemetry.span(
             "similarity.matrix_build", vocabulary=size, measure=measure.name
         ):
             matrix = np.eye(size, dtype=np.float64)
@@ -123,7 +123,7 @@ class NameSimilarityMatrix:
         old = len(self.names)
         size = old + len(fresh)
         vocabulary = self.names + fresh
-        with get_profiler().phase("similarity"), telemetry.span(
+        with telemetry.span(
             "similarity.matrix_extend", vocabulary=size,
             added=len(fresh), measure=self.measure_name,
         ):

@@ -28,7 +28,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from ..exceptions import SketchError
-from ..telemetry import get_profiler, get_telemetry
+from ..telemetry import get_telemetry
 from .hashing import trailing_zeros
 from .pcsa import KAPPA, PHI, PCSASketch
 
@@ -81,13 +81,6 @@ class StackedSketches:
         must then fall back to the scalar union path, which raises the
         matching :class:`SketchError` at evaluation time.
         """
-        with get_profiler().phase("sketch"):
-            return cls._stack(sketches)
-
-    @classmethod
-    def _stack(
-        cls, sketches: Sequence[PCSASketch | None]
-    ) -> "StackedSketches | None":
         reference = next((s for s in sketches if s is not None), None)
         if reference is None:
             # No signatures at all: a 1-map zero matrix keeps the batch

@@ -4,8 +4,8 @@ The measurement substrate for every perf/scaling change: a span-based
 tracer (:class:`Telemetry`), a metrics registry (counters, gauges,
 histograms), and pluggable exporters.  The default is a true no-op
 (:data:`NOOP`) whose overhead is negligible, so every layer of the
-pipeline instruments unconditionally; a live tracer or profiler is
-installed for a block with :func:`~repro.run_context.run_scope`.  See
+pipeline instruments unconditionally; a live tracer is installed for a
+block with :func:`~repro.run_context.run_scope`.  See
 docs/observability.md for the span taxonomy and exporter formats.
 """
 
@@ -18,13 +18,6 @@ from .exporters import (
     render_summary,
 )
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry, NoopMetrics
-from .profiler import (
-    NOOP_PROFILER,
-    NoopPhaseProfiler,
-    PhaseProfiler,
-    get_profiler,
-    phase_profile,
-)
 from .trace_report import (
     Trace,
     TraceSpan,
@@ -51,20 +44,15 @@ __all__ = [
     "JsonLinesExporter",
     "MetricsRegistry",
     "NOOP",
-    "NOOP_PROFILER",
     "NoopMetrics",
-    "NoopPhaseProfiler",
     "NoopTelemetry",
-    "PhaseProfiler",
     "SpanRecord",
     "StderrSummaryExporter",
     "Telemetry",
     "Trace",
     "TraceSpan",
-    "get_profiler",
     "get_telemetry",
     "load_trace",
-    "phase_profile",
     "render_span_tree",
     "render_summary",
     "render_time_table",

@@ -24,6 +24,5 @@ def app(resident, tmp_path):
     with ServeApp(
         {resident.name: resident},
         job_dir=tmp_path / "jobs",
-        profile=True,
     ) as served:
         yield served

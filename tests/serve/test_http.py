@@ -44,8 +44,8 @@ class TestInformational:
         assert status == 200
         assert payload["counters"]["serve.requests"] >= 2
         assert "serve.request_seconds" in payload["histograms"]
-        # The profiler tier is on in this fixture → cache analytics ride.
-        assert "cache" in payload
+        # Per-phase cost rides the tracer's span totals.
+        assert payload["spans"]["serve.request"]["count"] >= 1
 
     def test_universes_listing(self, app):
         status, payload = app.dispatch("GET", "/universes")
@@ -107,7 +107,7 @@ class TestSessionEndpoints:
         assert payload["error"]["code"] == "session_expired"
 
     def test_deleted_session_objective_is_collected(self, app):
-        """The service-wide profiler must not pin a closed session."""
+        """Nothing service-wide keeps a closed session's memos alive."""
         _, created = app.dispatch("POST", "/sessions", {"seed": 1})
         sid = created["session_id"]
         status, _ = app.dispatch("POST", f"/sessions/{sid}/solve", {})
@@ -127,7 +127,6 @@ class TestSessionEndpoints:
             {resident.name: resident},
             job_dir=tmp_path / "jobs",
             ttl_seconds=0.05,
-            profile=False,
         ) as short_lived:
             _, created = short_lived.dispatch("POST", "/sessions", {})
             sid = created["session_id"]
@@ -142,7 +141,6 @@ class TestSessionEndpoints:
             {resident.name: resident},
             job_dir=tmp_path / "jobs",
             max_sessions=1,
-            profile=False,
         ) as capped:
             capped.dispatch("POST", "/sessions", {})
             status, payload = capped.dispatch("POST", "/sessions", {})
@@ -234,7 +232,7 @@ class TestGracefulDegradation:
         with ServeApp(
             {resident.name: resident},
             job_dir=tmp_path / "jobs",
-            tiers={"scipy": False, "profiler": False, "observatory": False},
+            tiers={"scipy": False, "observatory": False},
         ) as degraded:
             status, health = degraded.dispatch("GET", "/health")
             assert health["status"] == "degraded"
@@ -244,10 +242,10 @@ class TestGracefulDegradation:
             assert status == 200
             assert runs == {"available": False, "runs": []}
 
-            # Metrics still answer, without the profiler's cache view.
+            # Metrics still answer.
             status, metrics = degraded.dispatch("GET", "/metrics")
             assert status == 200
-            assert "cache" not in metrics
+            assert "counters" in metrics
 
             # And the core loop still solves.
             _, created = degraded.dispatch("POST", "/sessions", {})
@@ -275,10 +273,10 @@ class TestTwoApps:
         self, resident, tmp_path
     ):
         first = ServeApp(
-            {resident.name: resident}, job_dir=tmp_path / "a", profile=True
+            {resident.name: resident}, job_dir=tmp_path / "a"
         ).start()
         second = ServeApp(
-            {resident.name: resident}, job_dir=tmp_path / "b", profile=True
+            {resident.name: resident}, job_dir=tmp_path / "b"
         ).start()
         try:
             first.close()
@@ -293,11 +291,11 @@ class TestTwoApps:
         finally:
             second.close()
         assert metrics["counters"]["serve.sessions_created"] == 1
-        # The second app's profiler still samples its requests.
-        assert any(
-            name.startswith("profile.phase.") for name in metrics["histograms"]
-        )
-        assert "objective.memo" in metrics["cache"]
+        # The second app's tracer still records its requests' phases and
+        # memo traffic.
+        assert metrics["spans"]["session.solve"]["count"] == 1
+        assert metrics["spans"]["match.evaluate"]["count"] > 0
+        assert metrics["counters"]["match.memo_misses"] > 0
 
 
 class TestLiveHTTP:
@@ -394,3 +392,20 @@ class TestLiveHTTP:
             connection.close()
         assert error["code"] == "bad_request"
         assert length in error["message"]
+
+    def test_oversized_content_length_is_a_413(self, server):
+        """Refused before the body is read, and the connection closes."""
+        host, port = server.server_address[:2]
+        connection = http.client.HTTPConnection(host, port, timeout=10.0)
+        try:
+            connection.putrequest("POST", "/sessions")
+            connection.putheader("Content-Length", "10000000000000")
+            connection.endheaders()
+            response = connection.getresponse()
+            assert response.status == 413
+            error = json.loads(response.read())["error"]
+            # The unread body would otherwise be parsed as the next request.
+            assert connection.sock.recv(1) == b""
+        finally:
+            connection.close()
+        assert error["code"] == "payload_too_large"

@@ -299,5 +299,4 @@ class TestTiers:
         tiers = detect_tiers()
         assert set(tiers) == set(OPTIONAL_TIERS)
         # In the development environment every tier is present.
-        assert tiers["profiler"] is True
         assert tiers["observatory"] is True
