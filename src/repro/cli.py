@@ -131,13 +131,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also write a provenance report to FILE "
              "(.json → JSON, .md → markdown, otherwise text)",
     )
-    solve.add_argument(
-        "--progress", action="store_true",
-        help="render a live in-place status line (workers alive/retrying/"
-             "timed-out, global best, elapsed) on stderr while solving; "
-             "runs the solve through the portfolio engine (observation "
-             "only — the answer is bit-identical)",
-    )
     add_telemetry_args(solve)
     solve.set_defaults(handler=run_solve)
 
@@ -366,25 +359,15 @@ def run_solve(args: argparse.Namespace) -> int:
             max_iterations=args.iterations, seed=args.seed
         ),
     )
-    printer = None
-    if args.progress:
-        from .telemetry.observatory import ProgressPrinter
-
-        printer = ProgressPrinter()
-    try:
-        iteration = session.solve(
-            explain=bool(args.explain),
-            jobs=args.jobs,
-            portfolio=args.portfolio,
-            stop_quality=args.stop_quality,
-            checkpoint=args.checkpoint,
-            worker_timeout=args.worker_timeout,
-            retries=args.retries,
-            on_progress=printer,
-        )
-    finally:
-        if printer is not None:
-            printer.close()
+    iteration = session.solve(
+        explain=bool(args.explain),
+        jobs=args.jobs,
+        portfolio=args.portfolio,
+        stop_quality=args.stop_quality,
+        checkpoint=args.checkpoint,
+        worker_timeout=args.worker_timeout,
+        retries=args.retries,
+    )
     print(render_solution(iteration.solution, workload.universe))
     stats = iteration.result.stats
     portfolio = iteration.result.portfolio

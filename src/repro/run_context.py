@@ -1,11 +1,10 @@
 """The ambient run context: what a solve reads without parameter threading.
 
 Library code deep inside a solve (a PCSA union, an Algorithm 1 merge, an
-optimizer iteration) asks for the active tracer, decision log,
-cooperative stop check and progress hook at call time.  All four live
-in one immutable :class:`RunContext` held in one
-:class:`~contextvars.ContextVar`, installed for a block with
-:func:`run_scope`::
+optimizer iteration) asks for the active tracer, decision log and
+cooperative stop check at call time.  All three live in one immutable
+:class:`RunContext` held in one :class:`~contextvars.ContextVar`,
+installed for a block with :func:`run_scope`::
 
     telemetry = Telemetry(exporters=[InMemoryExporter()])
     with run_scope(telemetry=telemetry):
@@ -25,7 +24,7 @@ no-op — :func:`~repro.telemetry.get_telemetry` and
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Iterator
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, replace
@@ -46,15 +45,11 @@ class RunContext:
         Cooperative stop signal, consulted by every
         :meth:`~repro.search.base.RunClock.expired` call — iteration
         granularity, so losing it costs runtime, never correctness.
-    progress_hook:
-        Called by :func:`~repro.search.base.score_candidates` with each
-        scored batch; its exceptions are swallowed at the call site.
     """
 
     telemetry: Any = None
     events: Any = None
     stop_check: Callable[[], bool] | None = None
-    progress_hook: Callable[[Sequence[Any]], None] | None = None
 
 
 _RUN: ContextVar[RunContext] = ContextVar("repro_run", default=RunContext())

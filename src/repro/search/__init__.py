@@ -11,7 +11,6 @@ from .base import (
     free_ids,
     random_selection,
     required_ids,
-    score_candidates,
 )
 from .exhaustive import ExhaustiveSearch
 from .greedy_select import GreedySelector
@@ -164,7 +163,6 @@ __all__ = [
     "required_ids",
     "resolve_optimizer_class",
     "resolve_portfolio",
-    "score_candidates",
     "seeded_restarts",
     "write_checkpoint",
 ]

@@ -187,8 +187,13 @@ class Optimizer(ABC):
         objective: Objective,
         selections: Sequence[frozenset[int]],
     ) -> list[Solution]:
-        """Score a candidate batch through :func:`score_candidates`."""
-        return score_candidates(objective, selections)
+        """Score a candidate batch, order-preserving.
+
+        The whole list goes through the objective's columnar
+        :meth:`~repro.quality.Objective.evaluate_batch` in one call, which
+        is bit-identical to scoring each candidate with ``evaluate``.
+        """
+        return objective.evaluate_batch(selections)
 
     def _start_selection(
         self,
@@ -294,38 +299,6 @@ def repair_selection(
     if not repaired:
         return random_selection(objective, rng)
     return frozenset(repaired)
-
-
-def score_candidates(
-    objective: Objective,
-    selections: Sequence[frozenset[int]],
-) -> list[Solution]:
-    """Score candidate selections, order-preserving.
-
-    The whole list goes through the objective's columnar
-    :meth:`~repro.quality.Objective.evaluate_batch` in one call; an
-    objective without a batch API (a test double, a bare callable) has
-    each candidate scored by the scalar evaluator.  Both paths return
-    bit-identical solutions, so an optimizer's trajectory does not depend
-    on which one ran.  Each scored batch is handed to the run context's
-    progress hook, if any — every optimizer routes its neighborhoods
-    through here, so no optimizer loop needs to know heartbeats exist.
-    """
-    selections = list(selections)
-    evaluate_batch = getattr(objective, "evaluate_batch", None)
-    if evaluate_batch is not None:
-        solutions = evaluate_batch(selections)
-    else:
-        solutions = [
-            objective.evaluate(selection) for selection in selections
-        ]
-    hook = current_run().progress_hook
-    if hook is not None:
-        try:
-            hook(solutions)
-        except Exception:  # noqa: BLE001 - observation must not sink solves
-            pass
-    return solutions
 
 
 def best_of(solutions: Sequence[Solution]) -> Solution:

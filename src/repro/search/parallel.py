@@ -69,8 +69,6 @@ Design points:
 from __future__ import annotations
 
 import multiprocessing
-import queue as queue_module
-import threading
 import time
 from collections import deque
 from collections.abc import Iterable, Mapping, Sequence
@@ -90,13 +88,6 @@ from ..telemetry import (
     Telemetry,
     get_telemetry,
 )
-from ..telemetry.observatory.heartbeat import (
-    DEFAULT_HEARTBEAT_INTERVAL,
-    HEARTBEAT_QUEUE_SIZE,
-    HeartbeatEmitter,
-    queue_sink,
-)
-from ..telemetry.observatory.status import RunStatus
 from .base import OptimizerConfig, SearchResult, SearchStats
 from .resilience import (
     Checkpoint,
@@ -245,7 +236,6 @@ class WorkerContext:
         initial: frozenset[int] | None = None,
         stop_quality: float | None = None,
         collect_telemetry: bool = False,
-        heartbeat_interval: float = DEFAULT_HEARTBEAT_INTERVAL,
         eval_context=None,
     ):
         self.problem = problem
@@ -253,7 +243,6 @@ class WorkerContext:
         self.initial = initial
         self.stop_quality = stop_quality
         self.collect_telemetry = collect_telemetry
-        self.heartbeat_interval = heartbeat_interval
         self.eval_context = eval_context
 
     def build_objective(self) -> Objective:
@@ -404,12 +393,9 @@ def resolve_portfolio(
 _WORKER_CONTEXT: WorkerContext | None = None
 _WORKER_STOP = None
 _WORKER_STARTED = None
-_WORKER_HEARTBEATS = None
 
 
-def _worker_init(
-    context: WorkerContext, stop_event, started=None, heartbeats=None
-) -> None:
+def _worker_init(context: WorkerContext, stop_event, started=None) -> None:
     """Pool initializer: receive the shared context and the shared signals.
 
     The shared early-stop event (picklable only through ``initargs``,
@@ -418,20 +404,15 @@ def _worker_init(
     shared execution ledger (see :func:`_run_worker`): one slot per
     portfolio worker, marked the moment an attempt actually begins
     executing, so the parent can tell a hung worker from one that never
-    left the queue.  ``heartbeats`` is the engine's bounded heartbeat
-    queue (see :mod:`repro.telemetry.observatory.heartbeat`), present
-    only on observed solves; each :func:`_run_worker` attempt installs a
-    scoped emitter over it.  Under ``fork`` the child starts with a copy
+    left the queue.  Under ``fork`` the child starts with a copy
     of the forking thread's run context (tracer with open file handles
     included); every task runs under a scope naming all its fields, so
     none of that is visible to the work.
     """
     global _WORKER_CONTEXT, _WORKER_STOP, _WORKER_STARTED
-    global _WORKER_HEARTBEATS
     _WORKER_CONTEXT = context
     _WORKER_STOP = stop_event
     _WORKER_STARTED = started
-    _WORKER_HEARTBEATS = heartbeats
 
 
 def _execute_spec(context: WorkerContext, spec: WorkerSpec) -> SearchResult:
@@ -484,30 +465,14 @@ def _run_worker(index: int, spec: WorkerSpec, attempt: int = 0) -> dict:
     telemetry = (
         Telemetry(exporters=[exporter]) if context.collect_telemetry else NOOP
     )
-    emitter = (
-        HeartbeatEmitter(
-            queue_sink(_WORKER_HEARTBEATS),
-            worker=index,
-            attempt=attempt,
-            interval=context.heartbeat_interval,
-        )
-        if _WORKER_HEARTBEATS is not None
-        else None
-    )
     stop_check = _WORKER_STOP.is_set if _WORKER_STOP is not None else None
     try:
         with run_scope(
-            telemetry=telemetry,
-            events=None,
-            stop_check=stop_check,
-            progress_hook=emitter,
+            telemetry=telemetry, events=None, stop_check=stop_check
         ):
             result = _execute_spec(context, spec)
     except Exception as exc:  # noqa: BLE001 - shipped home as the outcome
         return {"index": index, "error": f"{type(exc).__name__}: {exc}"}
-    finally:
-        if emitter is not None:
-            emitter.close()
     payload: dict = {"index": index, "result": result}
     if context.collect_telemetry:
         payload["spans"] = tuple(exporter.spans)
@@ -553,64 +518,6 @@ def select_winner(outcomes: Sequence[WorkerOutcome]) -> WorkerOutcome | None:
     return winner
 
 
-class _HeartbeatDrain:
-    """Parent-side pump from the heartbeat queue into a `RunStatus`.
-
-    A daemon thread polls the bounded multiprocessing queue with a short
-    timeout and folds each record into the status aggregate.  ``close``
-    stops the thread, sweeps whatever is still buffered (so no heartbeat
-    that arrived before shutdown is lost), and closes the queue.
-    Stragglers from an abandoned hung pool may still try to put after
-    that — their :func:`~repro.telemetry.observatory.heartbeat.offer`
-    calls fail silently by contract, so a hung worker can never block on
-    telemetry.
-    """
-
-    _POLL_SECONDS = 0.05
-
-    def __init__(self, channel, status: RunStatus):
-        self.channel = channel
-        self.status = status
-        self._stop = threading.Event()
-        self._thread = threading.Thread(
-            target=self._pump, name="mube-heartbeat-drain", daemon=True
-        )
-        self._thread.start()
-
-    def _pump(self) -> None:
-        while not self._stop.is_set():
-            self._drain_one(block=True)
-
-    def _drain_one(self, block: bool) -> bool:
-        try:
-            if block:
-                heartbeat = self.channel.get(timeout=self._POLL_SECONDS)
-            else:
-                heartbeat = self.channel.get_nowait()
-        except queue_module.Empty:
-            return False
-        except (OSError, ValueError, EOFError):
-            # Queue closed or connection torn down mid-shutdown.
-            self._stop.set()
-            return False
-        try:
-            self.status.record_heartbeat(heartbeat)
-        except Exception:  # noqa: BLE001 - observation must not sink solves
-            pass
-        return True
-
-    def close(self) -> None:
-        """Stop pumping, sweep the buffer, and close the queue."""
-        self._stop.set()
-        self._thread.join(timeout=2.0)
-        while self._drain_one(block=False):
-            pass
-        try:
-            self.channel.close()
-        except (OSError, ValueError):
-            pass
-
-
 class _LocalStopFlag:
     """In-process stand-in for the multiprocessing early-stop event."""
 
@@ -645,14 +552,12 @@ class _PortfolioRun:
         telemetry,
         resilience: ResilienceConfig,
         fingerprint: str | None,
-        status: RunStatus | None = None,
     ):
         self.specs = specs
         self.context = context
         self.telemetry = telemetry
         self.resilience = resilience
         self.fingerprint = fingerprint
-        self.status = status
         self.final: dict[int, WorkerOutcome] = {}
         self.progress: dict[int, WorkerProgress] = {
             index: WorkerProgress(
@@ -744,8 +649,6 @@ class _PortfolioRun:
             self.progress[entry.index] = entry
             self.to_run.remove(entry.index)
             self.resumed_workers += 1
-            if self.status is not None:
-                self.status.record_outcome(outcome)
 
     # -- outcome intake -------------------------------------------------------
 
@@ -758,8 +661,6 @@ class _PortfolioRun:
         self.final[outcome.index] = outcome
         self.progress[outcome.index] = self._progress_of(outcome)
         self._write_checkpoint()
-        if self.status is not None:
-            self.status.record_outcome(outcome)
 
     def outcomes(self) -> list[WorkerOutcome]:
         """All final outcomes, in worker order."""
@@ -860,16 +761,6 @@ class ParallelSolveEngine:
         checkpoint path, pool-rebuild budget.  The default config keeps
         every feature off, in which case the engine behaves exactly as
         it did before the resilience layer existed.
-    status:
-        Optional :class:`~repro.telemetry.observatory.status.RunStatus`
-        to observe the solve live: workers heartbeat through a bounded
-        lossy queue (pool mode) or directly (inline), and every
-        lifecycle transition — submitted, retrying, finished, resumed —
-        lands in the aggregate as it happens.  Purely observational:
-        attaching a status never changes what the solve returns, and
-        ``jobs=1`` stays bit-identical with one attached.
-    heartbeat_interval:
-        Minimum seconds between two heartbeats from one worker.
     """
 
     def __init__(
@@ -878,8 +769,6 @@ class ParallelSolveEngine:
         stop_quality: float | None = None,
         start_method: str | None = None,
         resilience: ResilienceConfig | None = None,
-        status: RunStatus | None = None,
-        heartbeat_interval: float = DEFAULT_HEARTBEAT_INTERVAL,
     ):
         if jobs < 1:
             raise SearchError(f"jobs must be >= 1, got {jobs}")
@@ -887,8 +776,6 @@ class ParallelSolveEngine:
         self.stop_quality = stop_quality
         self.start_method = start_method
         self.resilience = resilience or ResilienceConfig()
-        self.status = status
-        self.heartbeat_interval = heartbeat_interval
 
     def solve(
         self,
@@ -951,15 +838,10 @@ class ParallelSolveEngine:
             initial=initial,
             stop_quality=self.stop_quality,
             collect_telemetry=telemetry.enabled,
-            heartbeat_interval=self.heartbeat_interval,
             eval_context=eval_context,
         )
-        status = self.status
-        if status is not None:
-            status.begin(specs)
         run = _PortfolioRun(
-            specs, context, telemetry, self.resilience, fingerprint,
-            status=status,
+            specs, context, telemetry, self.resilience, fingerprint
         )
         started = time.perf_counter()
         with telemetry.span(
@@ -1022,13 +904,6 @@ class ParallelSolveEngine:
             metrics.counter("portfolio.checkpoints").inc(
                 run.checkpoints_written
             )
-            if status is not None:
-                if early_stopped:
-                    status.mark_early_stop()
-                status.finish()
-                metrics.counter("portfolio.heartbeats").inc(
-                    status.heartbeats
-                )
             if early_stopped:
                 metrics.counter("portfolio.early_stops").inc()
             for outcome in stats.workers:
@@ -1088,8 +963,7 @@ class ParallelSolveEngine:
         what the pool path would have recorded for the same schedule.
         Each attempt runs under a run scope that inherits the live
         tracer and event log and names its own stop check (the
-        shared flag, when an early-stop bound is set) and heartbeat
-        emitter.
+        shared flag, when an early-stop bound is set).
         """
         policy = self.resilience.retry
         stop_check = (
@@ -1113,17 +987,8 @@ class ParallelSolveEngine:
             error: str | None = None
             timed_out = False
             result: SearchResult | None = None
-            emitter = None
-            if run.status is not None:
-                run.status.mark_running(index, attempt)
-                emitter = HeartbeatEmitter(
-                    run.status.record_heartbeat,
-                    worker=index,
-                    attempt=attempt,
-                    interval=self.heartbeat_interval,
-                )
             try:
-                with run_scope(stop_check=stop_check, progress_hook=emitter):
+                with run_scope(stop_check=stop_check):
                     result = _execute_spec(run.context, live)
             except SystemExit as exc:
                 error = f"SystemExit: {exc.code}"
@@ -1139,8 +1004,6 @@ class ParallelSolveEngine:
                     timed_out = True
                     run.timeouts += 1
                     result = None
-            if emitter is not None:
-                emitter.close()
             if result is not None:
                 if _hit_quality_bound(result, self.stop_quality):
                     stop_flag.set()
@@ -1150,10 +1013,6 @@ class ParallelSolveEngine:
             if attempt < policy.max_retries:
                 attempt += 1
                 run.retries += 1
-                if run.status is not None:
-                    run.status.mark_retrying(
-                        index, attempt, error or "retrying"
-                    )
                 continue
             return self._failure(
                 index,
@@ -1189,16 +1048,6 @@ class ParallelSolveEngine:
         stop_event = (
             mp_context.Event() if self.stop_quality is not None else None
         )
-        heartbeat_channel = (
-            mp_context.Queue(HEARTBEAT_QUEUE_SIZE)
-            if run.status is not None
-            else None
-        )
-        drain = (
-            _HeartbeatDrain(heartbeat_channel, run.status)
-            if heartbeat_channel is not None
-            else None
-        )
         policy = self.resilience.retry
         timeout = self.resilience.worker_timeout
         telemetry = run.telemetry
@@ -1215,9 +1064,7 @@ class ParallelSolveEngine:
         # task, possibly forever — and never reused: its slot is held
         # hostage, which would starve every later round.
         pool_hung = False
-        pool, started = self._new_pool(
-            mp_context, run, stop_event, heartbeat_channel
-        )
+        pool, started = self._new_pool(mp_context, run, stop_event)
         try:
             while pending:
                 batch = list(pending)
@@ -1238,8 +1085,6 @@ class ParallelSolveEngine:
                             delay = policy.delay(attempt)
                             if delay:
                                 time.sleep(delay)
-                    if run.status is not None:
-                        run.status.mark_running(index, attempt)
                     try:
                         futures.append(
                             pool.submit(_run_worker, index, live, attempt)
@@ -1265,7 +1110,7 @@ class ParallelSolveEngine:
                         run.requeues += len(uncollected)
                         pending = deque(uncollected) + pending
                         pool, started = self._new_pool(
-                            mp_context, run, stop_event, heartbeat_channel
+                            mp_context, run, stop_event
                         )
                         pool_hung = False
                     else:
@@ -1284,15 +1129,11 @@ class ParallelSolveEngine:
                     # re-create.
                     pool.shutdown(wait=False, cancel_futures=True)
                     run.pool_rebuilds += 1
-                    pool, started = self._new_pool(
-                        mp_context, run, stop_event, heartbeat_channel
-                    )
+                    pool, started = self._new_pool(mp_context, run, stop_event)
                     pool_hung = False
         finally:
             if pool is not None:
                 pool.shutdown(wait=not pool_hung, cancel_futures=True)
-            if drain is not None:
-                drain.close()
         if leftovers:
             # Degrade gracefully: the pool broke more times than the
             # rebuild budget allows, so its leftovers run in-process.
@@ -1360,8 +1201,6 @@ class ParallelSolveEngine:
                 if attempt < policy.max_retries:
                     run.retries += 1
                     pending.append((index, spec, attempt + 1))
-                    if run.status is not None:
-                        run.status.mark_retrying(index, attempt + 1, error)
                 else:
                     run.finish(
                         self._failure(
@@ -1427,16 +1266,13 @@ class ParallelSolveEngine:
         if attempt < self.resilience.retry.max_retries:
             run.retries += 1
             pending.append((index, spec, attempt + 1))
-            if run.status is not None:
-                run.status.mark_retrying(index, attempt + 1, error)
         else:
             run.finish(
                 self._failure(index, spec, error, attempts=attempt + 1)
             )
 
     def _new_pool(
-        self, mp_context, run: _PortfolioRun, stop_event,
-        heartbeat_channel=None,
+        self, mp_context, run: _PortfolioRun, stop_event
     ) -> tuple[ProcessPoolExecutor, "object | None"]:
         """A fresh worker pool plus its shared execution ledger.
 
@@ -1446,11 +1282,8 @@ class ParallelSolveEngine:
         exactly this pool's processes — a rotated-away pool keeps
         writing to its own ledger, never the replacement's.  Only built
         when a worker timeout is configured; nothing else reads it.
-        The heartbeat channel and the context, by contrast, are created
-        once per solve and shared across pool generations: a rotated-away
-        pool's stragglers may keep pulsing into the channel, which is
-        harmless (late heartbeats for terminal workers are counted and
-        ignored), and the context is immutable.
+        The context, by contrast, is created once per solve and shared
+        across pool generations: it is immutable.
         """
         started = (
             mp_context.Array("i", len(run.specs))
@@ -1461,12 +1294,7 @@ class ParallelSolveEngine:
             max_workers=self.jobs,
             mp_context=mp_context,
             initializer=_worker_init,
-            initargs=(
-                run.context,
-                stop_event,
-                started,
-                heartbeat_channel,
-            ),
+            initargs=(run.context, stop_event, started),
         )
         return pool, started
 

@@ -544,6 +544,15 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _handle(self, method: str) -> None:
         app: ServeApp = self.server.app  # type: ignore[attr-defined]
+        if "Transfer-Encoding" in self.headers:
+            # Only Content-Length framing is read; a chunked body would
+            # otherwise be dropped and its bytes parsed as a next request.
+            self._refuse_body(
+                411,
+                "length_required",
+                "Transfer-Encoding is not supported; send Content-Length",
+            )
+            return
         header = self.headers.get("Content-Length") or "0"
         if not (header.isascii() and header.isdigit()):
             self._refuse_body(

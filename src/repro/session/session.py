@@ -254,7 +254,6 @@ class Session:
         checkpoint: str | None = None,
         worker_timeout: float | None = None,
         retries: int = 0,
-        on_progress=None,
         neighborhood: bool = False,
     ) -> Iteration:
         """Solve the current problem and record the iteration.
@@ -309,15 +308,6 @@ class Session:
         after an edit, when the previous answer is near-optimal and the
         portfolio should fan out around it.
 
-        ``on_progress`` observes the solve live: it receives a
-        :class:`~repro.telemetry.observatory.StatusSnapshot` after every
-        worker transition and (throttled) heartbeat.  Passing it
-        switches the solve onto the portfolio engine too (``jobs=1``
-        when nothing else asked for parallelism — bit-identical to the
-        sequential path, so observation never changes the answer).
-        Callback exceptions are swallowed and counted, never raised
-        into the solve.
-
         Every solve also appends a durable record to the session's run
         registry (see the ``record_runs`` constructor parameter) —
         inspect it with ``mube runs`` / ``mube runs show``.
@@ -332,13 +322,7 @@ class Session:
             or checkpoint is not None
             or worker_timeout is not None
             or retries > 0
-            or on_progress is not None
         )
-        status = None
-        if on_progress is not None:
-            from ..telemetry.observatory.status import RunStatus
-
-            status = RunStatus(on_update=on_progress)
         telemetry = self._telemetry()
         # The event log rides the tracer's exporters, so `--trace` files
         # carry decision events as a second record type.
@@ -370,7 +354,6 @@ class Session:
                     checkpoint=checkpoint,
                     worker_timeout=worker_timeout,
                     retries=retries,
-                    status=status,
                     neighborhood=neighborhood,
                 )
             else:
@@ -386,7 +369,6 @@ class Session:
                 jobs=(jobs or 1) if use_portfolio else 1,
                 checkpoint=checkpoint,
                 telemetry=telemetry,
-                status=status,
             )
         explanation = None
         if explain:
@@ -758,7 +740,6 @@ class Session:
         checkpoint: str | None = None,
         worker_timeout: float | None = None,
         retries: int = 0,
-        status=None,
         neighborhood: bool = False,
     ) -> SearchResult:
         """Run one solve through the parallel portfolio engine.
@@ -787,7 +768,6 @@ class Session:
             jobs=jobs or 1,
             stop_quality=stop_quality,
             resilience=resilience,
-            status=status,
         )
         return engine.solve(
             problem,
@@ -847,7 +827,6 @@ class Session:
         jobs: int,
         checkpoint: str | None,
         telemetry,
-        status=None,
     ):
         """Append this solve to the run registry (best-effort).
 
@@ -872,7 +851,6 @@ class Session:
             optimizer=optimizer,
             checkpoint=checkpoint,
             counters=telemetry.metrics.snapshot().get("counters", {}),
-            heartbeats=status.heartbeats if status is not None else 0,
             seed=self.optimizer_config.seed,
         )
         try:

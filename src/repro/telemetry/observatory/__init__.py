@@ -1,29 +1,16 @@
-"""The run observatory: live solve visibility and a durable run log.
+"""The run observatory: a durable log of every solve.
 
-Three connected layers over the portfolio engine:
-
-* **heartbeats** (:mod:`.heartbeat`) — workers pulse advisory, lossy
-  :class:`Heartbeat` records through a bounded queue while they search;
-* **status** (:mod:`.status`) — the engine folds heartbeats and
-  lifecycle transitions into a thread-safe :class:`RunStatus` whose
-  immutable :class:`StatusSnapshot` views back
-  ``Session.solve(on_progress=...)`` and ``mube solve --progress``;
 * **registry** (:mod:`.registry`) — every solve appends a durable
   :class:`RunRecord` line to ``.mube/runs.jsonl``, listed by
   ``mube runs`` and rendered by ``mube runs show`` (:mod:`.render`).
 
-The observatory only ever observes: attaching any part of it must not
-change what a solve returns.
+A solve's worker lifecycle is read off its result
+(:class:`~repro.search.parallel.PortfolioStats`), the ``portfolio.*``
+counters and the tracer's spans, all of which the record captures.  The
+observatory only ever observes: recording a run must not change what a
+solve returns.
 """
 
-from .heartbeat import (
-    DEFAULT_HEARTBEAT_INTERVAL,
-    HEARTBEAT_QUEUE_SIZE,
-    Heartbeat,
-    HeartbeatEmitter,
-    offer,
-    queue_sink,
-)
 from .registry import (
     DEFAULT_RUNS_PATH,
     RUNS_PATH_ENV,
@@ -33,34 +20,16 @@ from .registry import (
     default_registry,
     new_run_id,
 )
-from .render import (
-    ProgressPrinter,
-    render_run_record,
-    render_runs_table,
-    render_status_line,
-)
-from .status import WORKER_STATES, RunStatus, StatusSnapshot, WorkerView
+from .render import render_run_record, render_runs_table
 
 __all__ = [
-    "DEFAULT_HEARTBEAT_INTERVAL",
     "DEFAULT_RUNS_PATH",
-    "HEARTBEAT_QUEUE_SIZE",
-    "Heartbeat",
-    "HeartbeatEmitter",
-    "ProgressPrinter",
     "RUNS_PATH_ENV",
     "RunRecord",
     "RunRegistry",
-    "RunStatus",
-    "StatusSnapshot",
-    "WORKER_STATES",
-    "WorkerView",
     "build_run_record",
     "default_registry",
     "new_run_id",
-    "offer",
-    "queue_sink",
     "render_run_record",
     "render_runs_table",
-    "render_status_line",
 ]

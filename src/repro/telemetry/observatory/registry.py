@@ -84,7 +84,6 @@ class RunRecord:
     pool_rebuilds: int = 0
     resumed_workers: int = 0
     checkpoint: str | None = None
-    heartbeats: int = 0
     counters: dict = field(default_factory=dict)
     status: str = "ok"
     version: int = RUN_RECORD_VERSION
@@ -124,7 +123,6 @@ def build_run_record(
     optimizer: str = "",
     checkpoint: str | None = None,
     counters: dict | None = None,
-    heartbeats: int = 0,
     run_id: str | None = None,
     started_at: float | None = None,
     seed: int = 0,
@@ -192,7 +190,6 @@ def build_run_record(
         seeds=seeds,
         winner_index=winner,
         checkpoint=checkpoint,
-        heartbeats=heartbeats,
         counters=dict(counters or {}),
         **extra,
     )

@@ -1,96 +1,18 @@
-"""Terminal rendering for the run observatory.
+"""Terminal rendering for the run registry.
 
-Three audiences share this module: ``mube solve --progress`` draws an
-in-place status line while a portfolio solve runs
-(:class:`ProgressPrinter`), ``mube runs`` tabulates the run registry
-(:func:`render_runs_table`), and ``mube runs show`` expands a single
-record — including the fold-back of the ``portfolio.*`` telemetry
-counters captured at record time (:func:`render_run_record`).
+``mube runs`` tabulates the registry (:func:`render_runs_table`), and
+``mube runs show`` expands a single record — including the fold-back of
+the ``portfolio.*`` telemetry counters captured at record time
+(:func:`render_run_record`).
 
-Everything here is pure string formatting over immutable snapshots and
-records; no locks, no I/O except the printer's single stream.
+Everything here is pure string formatting over immutable records.
 """
 
 from __future__ import annotations
 
-import sys
 import time
 
 from .registry import RunRecord
-from .status import StatusSnapshot
-
-
-def render_status_line(snapshot: StatusSnapshot) -> str:
-    """One-line live picture of a portfolio solve.
-
-    Example::
-
-        [  3.2s] 2/4 done | 1 running 1 retrying | best 12.4310* | hb 57
-    """
-    parts = [f"{snapshot.completed}/{snapshot.total} done"]
-    alive_bits = []
-    if snapshot.running:
-        alive_bits.append(f"{snapshot.running} running")
-    if snapshot.retrying:
-        alive_bits.append(f"{snapshot.retrying} retrying")
-    if alive_bits:
-        parts.append(" ".join(alive_bits))
-    trouble_bits = []
-    if snapshot.timed_out:
-        trouble_bits.append(f"{snapshot.timed_out} timed-out")
-    if snapshot.failed:
-        trouble_bits.append(f"{snapshot.failed} failed")
-    if trouble_bits:
-        parts.append(" ".join(trouble_bits))
-    best = snapshot.best_objective
-    if best is not None:
-        star = "*" if snapshot.best_feasible else ""
-        parts.append(f"best {best:.4f}{star}")
-    parts.append(f"hb {snapshot.heartbeats}")
-    if snapshot.early_stopped:
-        parts.append("early-stop")
-    return f"[{snapshot.elapsed_seconds:6.1f}s] " + " | ".join(parts)
-
-
-class ProgressPrinter:
-    """Render snapshots as a carriage-return status line on one stream.
-
-    Built for ``mube solve --progress``: each update overwrites the
-    previous line (padded so a shrinking line leaves no debris), and
-    :meth:`close` finishes with a newline so subsequent output starts
-    clean.  When the stream is not a terminal (CI logs, pipes) the
-    printer degrades to one plain line per ~second instead of emitting
-    ``\\r`` spam.
-    """
-
-    def __init__(self, stream=None, min_interval: float = 0.0):
-        self.stream = stream if stream is not None else sys.stderr
-        self.min_interval = min_interval
-        self._last_width = 0
-        self._last_print = -float("inf")
-        self._isatty = bool(getattr(self.stream, "isatty", lambda: False)())
-
-    def __call__(self, snapshot: StatusSnapshot) -> None:
-        now = time.perf_counter()
-        interval = self.min_interval if self._isatty else max(
-            self.min_interval, 1.0
-        )
-        if not snapshot.finished and now - self._last_print < interval:
-            return
-        self._last_print = now
-        line = render_status_line(snapshot)
-        if self._isatty:
-            padded = line.ljust(self._last_width)
-            self._last_width = len(line)
-            print(f"\r{padded}", end="", file=self.stream, flush=True)
-        else:
-            print(line, file=self.stream, flush=True)
-
-    def close(self) -> None:
-        """Terminate the in-place line so later output starts fresh."""
-        if self._isatty and self._last_width:
-            print(file=self.stream, flush=True)
-            self._last_width = 0
 
 
 def _format_when(started_at: float) -> str:
@@ -175,8 +97,6 @@ def render_run_record(record: RunRecord) -> str:
         resilience.append(f"{record.resumed_workers} resumed")
     if resilience:
         lines.append(f"  resilience   {', '.join(resilience)}")
-    if record.heartbeats:
-        lines.append(f"  heartbeats   {record.heartbeats}")
     if record.workers:
         lines.append("  workers:")
         for worker in record.workers:
@@ -209,9 +129,4 @@ def render_run_record(record: RunRecord) -> str:
     return "\n".join(lines)
 
 
-__all__ = [
-    "ProgressPrinter",
-    "render_run_record",
-    "render_runs_table",
-    "render_status_line",
-]
+__all__ = ["render_run_record", "render_runs_table"]

@@ -11,19 +11,11 @@ import os
 import pytest
 
 from repro.search import OptimizerConfig
-from repro.testing import FaultPlan, FaultSpec, faulty_spec
+from repro.testing import faulty_spec
 
 from ..search.test_optimizers import tiny_problem
 
 CONFIG = OptimizerConfig(max_iterations=12, patience=10, seed=3)
-
-
-def crash_plan(*coords):
-    return FaultPlan(
-        entries=tuple(
-            FaultSpec(worker=w, attempt=a, kind="crash") for w, a in coords
-        )
-    )
 
 
 def faulted_portfolio(specs, plan):

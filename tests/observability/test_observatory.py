@@ -1,10 +1,9 @@
-"""End-to-end run observatory: heartbeats, live status, registry.
+"""End-to-end run observatory: the run registry over real solves.
 
-The acceptance contract (ISSUE 6): a fault-injected portfolio solve with
-heartbeats enabled produces (1) a live ``RunStatus`` that reflects the
-retry/timeout transitions *while they happen*, (2) a run record whose
-per-worker attempt counts match the final ``PortfolioStats``, and (3) a
-final solution bit-identical to the same solve with heartbeats off.
+The acceptance contract: a fault-injected portfolio solve produces a run
+record whose per-worker attempt counts, retries, timeouts, winner and
+jobs match the final ``PortfolioStats``; every ``Session.solve`` appends
+a record; and ``mube runs`` lists and renders them.
 """
 
 import json
@@ -21,11 +20,11 @@ from repro.search import (
 )
 from repro.search.resilience import problem_fingerprint
 from repro.session import Session
-from repro.telemetry.observatory import RunStatus, build_run_record
+from repro.telemetry.observatory import build_run_record
 from repro.testing import FaultPlan, FaultSpec
 
 from ..search.test_optimizers import tiny_universe
-from .conftest import CONFIG, crash_plan, faulted_portfolio
+from .conftest import CONFIG, faulted_portfolio
 
 
 def make_session(**kwargs) -> Session:
@@ -40,7 +39,7 @@ def make_session(**kwargs) -> Session:
 
 @pytest.mark.parametrize("jobs", [1, 2])
 class TestFaultedObservatory:
-    def test_live_status_run_record_and_determinism(
+    def test_run_record_matches_portfolio_stats_under_faults(
         self, problem, start_method, jobs
     ):
         specs = seeded_restarts("local", 3, CONFIG)
@@ -56,57 +55,17 @@ class TestFaultedObservatory:
             worker_timeout=10.0 if jobs > 1 else 0.15,
             retry=RetryPolicy(max_retries=1),
         )
-        engine_kwargs = dict(
+        result = ParallelSolveEngine(
             jobs=jobs, start_method=start_method, resilience=resilience
-        )
-        faulted = faulted_portfolio(specs, plan)
+        ).solve(problem, faulted_portfolio(specs, plan))
 
-        baseline = ParallelSolveEngine(**engine_kwargs).solve(
-            problem, faulted
-        )
-
-        snapshots = []
-        status = RunStatus(
-            on_update=snapshots.append, min_update_interval=0.0
-        )
-        observed = ParallelSolveEngine(
-            status=status, heartbeat_interval=0.0, **engine_kwargs
-        ).solve(problem, faulted)
-
-        # (3) Observation never changes the answer.
-        assert observed.solution.selected == baseline.solution.selected
-        assert observed.solution.objective == baseline.solution.objective
-        assert (
-            observed.portfolio.winner_index
-            == baseline.portfolio.winner_index
-        )
-
-        # (1) The retry transition was visible *in flight*: some snapshot
-        # taken mid-solve shows worker 0 in the retrying state, before
-        # the final snapshot where every worker is terminal.
-        retrying = [
-            snap.workers[0]
-            for snap in snapshots
-            if snap.workers and snap.workers[0].state == "retrying"
-        ]
-        assert retrying, "no snapshot caught worker 0 retrying"
-        assert retrying[0].attempt == 1
-        final = snapshots[-1]
-        assert final.finished
-        assert final.completed == 3
-        assert all(w.state == "done" for w in final.workers)
-        assert final.workers[0].attempts == 2
-        assert status.heartbeats > 0
-        assert final.best_objective == observed.solution.objective
-
-        # (2) The run record's per-worker attempts match PortfolioStats.
         record = build_run_record(
-            observed,
+            result,
             fingerprint=problem_fingerprint(problem),
             optimizer="local",
-            heartbeats=status.heartbeats,
         )
-        stats = observed.portfolio
+        stats = result.portfolio
+        assert stats.workers[0].attempts == 2
         assert {
             w["index"]: w["attempts"] for w in record.workers
         } == {o.index: o.attempts for o in stats.workers}
@@ -114,74 +73,7 @@ class TestFaultedObservatory:
         assert record.timeouts == stats.timeouts
         assert record.winner_index == stats.winner_index
         assert record.jobs == stats.jobs
-        assert record.heartbeats == status.heartbeats
-        assert record.selection == tuple(
-            sorted(observed.solution.selected)
-        )
-
-    def test_inline_timeout_transition_is_observed(
-        self, problem, start_method, jobs
-    ):
-        if jobs > 1:
-            pytest.skip("post-hoc timeout retry reason is inline-only")
-        specs = seeded_restarts("local", 2, CONFIG)
-        plan = FaultPlan(
-            entries=(
-                FaultSpec(worker=1, attempt=0, kind="hang", seconds=0.3),
-            )
-        )
-        resilience = ResilienceConfig(
-            worker_timeout=0.1, retry=RetryPolicy(max_retries=1)
-        )
-        snapshots = []
-        status = RunStatus(
-            on_update=snapshots.append, min_update_interval=0.0
-        )
-        result = ParallelSolveEngine(
-            jobs=1, resilience=resilience, status=status
-        ).solve(problem, faulted_portfolio(specs, plan))
-        assert result.portfolio.timeouts == 1
-        timeout_retries = [
-            snap.workers[1]
-            for snap in snapshots
-            if len(snap.workers) > 1
-            and snap.workers[1].state == "retrying"
-            and snap.workers[1].error
-            and "timed out" in snap.workers[1].error
-        ]
-        assert timeout_retries, "timeout retry never surfaced in a snapshot"
-
-
-class TestHeartbeatDeterminism:
-    def test_jobs1_with_progress_matches_sequential(self):
-        """Satellite (d): observation is bit-identical to silence."""
-        sequential = make_session().solve()
-
-        snapshots = []
-        observed = make_session().solve(on_progress=snapshots.append)
-
-        assert observed.solution == sequential.solution
-        assert (
-            observed.result.trajectory == sequential.result.trajectory
-        )
-        # on_progress alone promotes the solve to a jobs=1 portfolio...
-        assert observed.result.portfolio is not None
-        assert observed.result.portfolio.jobs == 1
-        # ...and the observer did see the worker live.
-        assert snapshots[-1].finished
-        assert snapshots[-1].heartbeats > 0
-
-    def test_repeated_observed_solves_are_identical(self):
-        first = make_session().solve(on_progress=lambda snap: None)
-        second = make_session().solve(on_progress=lambda snap: None)
-        assert first.solution == second.solution
-
-    def test_crashing_callback_does_not_sink_the_solve(self):
-        def explode(snapshot):
-            raise RuntimeError("broken renderer")
-
-        iteration = make_session().solve(on_progress=explode)
-        assert iteration.solution == make_session().solve().solution
+        assert record.selection == tuple(sorted(result.solution.selected))
 
 
 class TestSessionRunRecording:
@@ -226,7 +118,7 @@ class TestRunsCli:
             main(
                 [
                     "solve", "--sources", "20", "--choose", "4",
-                    "--iterations", "8", "--jobs", "1", "--progress",
+                    "--iterations", "8", "--jobs", "1",
                 ]
             )
             == 0

@@ -52,21 +52,27 @@ class TestRunRecord:
         assert again == original
 
     def test_unknown_keys_are_dropped_on_load(self):
-        data = record().to_dict()
+        original = record()
+        data = original.to_dict()
         data["from_the_future"] = {"x": 1}
-        RunRecord.from_dict(data)  # must not raise
+        # Records written before the live-progress path was removed
+        # carry a heartbeat count; they still load, as version 1.
+        data["heartbeats"] = 57
+        loaded = RunRecord.from_dict(data)  # must not raise
+        assert loaded == original
+        assert loaded.version == 1
 
     def test_portfolio_counters_fold_back(self):
         data = record().to_dict()
         data["counters"] = {
             "portfolio.retries": 2,
-            "portfolio.heartbeats": 41,
+            "portfolio.timeouts": 41,
             "search.solves": 3,
         }
         loaded = RunRecord.from_dict(data)
         assert loaded.portfolio_counters() == {
-            "portfolio.heartbeats": 41,
             "portfolio.retries": 2,
+            "portfolio.timeouts": 41,
         }
 
 
@@ -92,11 +98,9 @@ class TestBuildRunRecord:
             fingerprint="abc",
             checkpoint="solve.ckpt",
             counters={"runs.recorded": 1},
-            heartbeats=9,
         )
         assert built.checkpoint == "solve.ckpt"
         assert built.counters == {"runs.recorded": 1}
-        assert built.heartbeats == 9
 
 
 class TestRunRegistry:

@@ -1,8 +1,8 @@
 """Batch-mode search must reproduce scalar-mode search, seed for seed.
 
-Whether candidate neighborhoods are scored through
-``Objective.evaluate_batch`` or, for an objective without one, the scalar
-``evaluate`` changes only *how* they are scored, never *what* the
+Whether candidate neighborhoods are scored through the columnar
+``Objective.evaluate_batch`` or one scalar ``evaluate`` call per
+candidate changes only *how* they are scored, never *what* the
 optimizer does.  Because the batch evaluator is bit-identical to the
 scalar one and the optimizers consume their RNGs in the same order either
 way, entire runs must match: trajectory, best solution, iteration and
@@ -23,14 +23,15 @@ from .test_optimizers import METAHEURISTICS, tiny_problem
 
 
 class ScalarObjective:
-    """An objective proxy without ``evaluate_batch``: forces scalar scoring."""
+    """An objective proxy whose batch API loops the scalar ``evaluate``."""
 
     def __init__(self, objective: Objective):
         self._objective = objective
 
+    def evaluate_batch(self, selections):
+        return [self._objective.evaluate(s) for s in selections]
+
     def __getattr__(self, name: str):
-        if name == "evaluate_batch":
-            raise AttributeError(name)
         return getattr(self._objective, name)
 
 

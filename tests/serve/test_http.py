@@ -409,3 +409,27 @@ class TestLiveHTTP:
         finally:
             connection.close()
         assert error["code"] == "payload_too_large"
+
+    def test_chunked_body_is_a_411(self, server):
+        """Refused before the body is read, and the connection closes.
+
+        The shim only reads ``Content-Length`` framing: dispatching a
+        chunked request would drop its body and parse the chunk bytes
+        as a next request.
+        """
+        host, port = server.server_address[:2]
+        body = b'{"seed": 2}'
+        chunked = b"%x\r\n%s\r\n0\r\n\r\n" % (len(body), body)
+        connection = http.client.HTTPConnection(host, port, timeout=10.0)
+        try:
+            connection.putrequest("POST", "/sessions")
+            connection.putheader("Content-Type", "application/json")
+            connection.putheader("Transfer-Encoding", "chunked")
+            connection.endheaders(message_body=chunked)
+            response = connection.getresponse()
+            assert response.status == 411
+            error = json.loads(response.read())["error"]
+            assert connection.sock.recv(1) == b""
+        finally:
+            connection.close()
+        assert error["code"] == "length_required"

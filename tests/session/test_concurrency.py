@@ -14,6 +14,7 @@ from __future__ import annotations
 import threading
 
 from repro.explain import NOOP_EVENTS, get_event_log
+from repro.run_context import run_scope
 from repro.search import OptimizerConfig
 from repro.serve import ResidentUniverse
 
@@ -158,25 +159,26 @@ class TestConcurrentSessions:
                 record_runs=False, optimizer_config=FAST
             )
 
-        solo = make_session().solve(
-            explain=True, on_progress=lambda snapshot: None
-        ).explanation
+        solo = make_session().solve(explain=True).explanation
 
         # Choreography: the plain solve starts while the explain solve
         # is searching, then waits inside its own search until the
         # explain solve (replay included) has returned — so it outlives
-        # it.  Progress callbacks run on their solve's own thread.
+        # it.  Each solve's stop check runs on its own thread, at every
+        # iteration, and never asks the search to stop.
         explain_searching = threading.Event()
         plain_started = threading.Event()
         explain_done = threading.Event()
 
-        def explain_progress(snapshot):
+        def explain_check():
             explain_searching.set()
             plain_started.wait(timeout=30.0)
+            return False
 
-        def plain_progress(snapshot):
+        def plain_check():
             plain_started.set()
             explain_done.wait(timeout=30.0)
+            return False
 
         plain_session = make_session()
         errors: list[BaseException] = []
@@ -184,16 +186,16 @@ class TestConcurrentSessions:
         def plain():
             try:
                 explain_searching.wait(timeout=30.0)
-                plain_session.solve(on_progress=plain_progress)
+                with run_scope(stop_check=plain_check):
+                    plain_session.solve()
             except BaseException as exc:  # noqa: BLE001 - surfaced below
                 errors.append(exc)
 
         thread = threading.Thread(target=plain)
         thread.start()
         try:
-            explained = make_session().solve(
-                explain=True, on_progress=explain_progress
-            ).explanation
+            with run_scope(stop_check=explain_check):
+                explained = make_session().solve(explain=True).explanation
         finally:
             explain_done.set()
         thread.join(timeout=60.0)
