@@ -20,13 +20,7 @@ import time
 
 import pytest
 
-from repro.search import (
-    OptimizerConfig,
-    ParallelSolveEngine,
-    ResilienceConfig,
-    RetryPolicy,
-    seeded_restarts,
-)
+from repro.search import OptimizerConfig, ParallelSolveEngine, seeded_restarts
 
 from common import bench_scale, build_problem, cached_workload
 
@@ -44,8 +38,8 @@ def _config(seed: int = 0) -> OptimizerConfig:
     )
 
 
-def _timed_solve(problem, workers, resilience=None):
-    engine = ParallelSolveEngine(jobs=1, resilience=resilience)
+def _timed_solve(problem, workers, **recovery):
+    engine = ParallelSolveEngine(jobs=1, **recovery)
     started = time.perf_counter()
     result = engine.solve(problem, workers)
     return result, time.perf_counter() - started
@@ -59,15 +53,15 @@ def test_fault_free_overhead(benchmark, tmp_path):
 
     plain, plain_seconds = _timed_solve(problem, workers)
 
-    resilience = ResilienceConfig(
-        worker_timeout=600.0,
-        retry=RetryPolicy(max_retries=2),
-        checkpoint=str(tmp_path / "bench.ckpt"),
-    )
-
     def resilient_round():
         (tmp_path / "bench.ckpt").unlink(missing_ok=True)
-        return _timed_solve(problem, workers, resilience)
+        return _timed_solve(
+            problem,
+            workers,
+            worker_timeout=600.0,
+            retries=2,
+            checkpoint=str(tmp_path / "bench.ckpt"),
+        )
 
     resilient, resilient_seconds = benchmark.pedantic(
         resilient_round, rounds=1, iterations=1
@@ -96,12 +90,10 @@ def test_checkpoint_resume_speedup(benchmark, tmp_path):
     problem = build_problem(workload, SCALE.fig5_choose, "none")
     workers = seeded_restarts("tabu", WORKERS, _config())
     path = str(tmp_path / "resume.ckpt")
-    resilience = ResilienceConfig(checkpoint=path)
-
-    cold, cold_seconds = _timed_solve(problem, workers, resilience)
+    cold, cold_seconds = _timed_solve(problem, workers, checkpoint=path)
 
     def resume_round():
-        return _timed_solve(problem, workers, resilience)
+        return _timed_solve(problem, workers, checkpoint=path)
 
     resumed, resume_seconds = benchmark.pedantic(
         resume_round, rounds=1, iterations=1

@@ -20,6 +20,7 @@ import sys
 from collections.abc import Sequence
 
 from .core import CharacteristicSpec, default_weights
+from .exceptions import ReproError
 from .run_context import run_scope
 from .search import OPTIMIZERS, OptimizerConfig
 from .session import Session, render_history, render_solution
@@ -47,6 +48,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         with run_scope(telemetry=telemetry):
             return args.handler(args)
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     finally:
         telemetry.close()
 

@@ -32,10 +32,7 @@ from .random_search import RandomSearch
 from .resilience import (
     ATTEMPT_PARAM,
     Checkpoint,
-    ResilienceConfig,
-    RetryPolicy,
     WorkerProgress,
-    derive_worker_seed,
     load_checkpoint,
     problem_fingerprint,
     write_checkpoint,
@@ -139,8 +136,6 @@ __all__ = [
     "ParticleSwarm",
     "PortfolioStats",
     "RandomSearch",
-    "ResilienceConfig",
-    "RetryPolicy",
     "SearchResult",
     "SearchStats",
     "SimulatedAnnealing",
@@ -152,7 +147,6 @@ __all__ = [
     "WorkerSpec",
     "best_of",
     "default_tenure",
-    "derive_worker_seed",
     "free_ids",
     "get_optimizer",
     "load_checkpoint",

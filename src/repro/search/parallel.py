@@ -38,40 +38,39 @@ Design points:
   ``stop_quality`` sets a shared event; siblings observe it at their next
   ``clock.expired()`` check (the run context's ``stop_check``, see
   :mod:`repro.run_context`).  Losing the signal only costs runtime,
-  never correctness.
+  never correctness.  In-process workers also keep the caller's own
+  stop check.
 
 * **Failure is survivable — and recoverable.**  A crashing worker is
   logged into its :class:`WorkerOutcome` and counted in
   :attr:`PortfolioStats.failed_workers`; the solve returns the best
-  surviving result.  With a :class:`~repro.search.resilience.
-  ResilienceConfig` the engine goes further: hung workers are cancelled
-  on a per-worker wall-clock timeout (``timed_out`` outcomes), failed
-  and timed-out workers are retried on a bounded deterministic schedule
-  (:class:`~repro.search.resilience.RetryPolicy` — same seed by default,
-  or the pure ``(base_seed, worker_index, attempt)`` derivation under
-  ``reseed``), a broken process pool is rebuilt once with its unfinished
-  workers requeued (degrading to in-process execution if the rebuilt
-  pool breaks too), and best-so-far state is checkpointed atomically
-  after every worker outcome so a killed solve resumes instead of
-  restarting.  Only a portfolio with zero survivors raises
+  surviving result.  Three engine arguments go further:
+  ``worker_timeout`` cancels hung workers (``timed_out`` outcomes),
+  ``retries`` re-runs failed and timed-out workers with their identical
+  spec, and ``checkpoint`` writes best-so-far state atomically after
+  every worker outcome, so a killed solve resumes instead of
+  restarting.  A broken process pool is rebuilt once with its
+  unfinished workers requeued, degrading to in-process execution if the
+  rebuilt pool breaks too.  Only a portfolio with zero survivors raises
   :class:`~repro.exceptions.SearchError`, with per-worker reasons.
 
 * **Telemetry folds back.**  Each worker traces into its own in-memory
   tracer and returns ``(spans, metrics snapshot)``; the parent re-indexes
   the spans under its open ``portfolio.solve`` span and merges the
   counters, so ``--trace`` and ``mube trace-report`` see the whole run.
-  Recovery actions add ``portfolio.retry`` spans and the
-  ``portfolio.retries`` / ``portfolio.timeouts`` / ``portfolio.requeues``
-  / ``portfolio.pool_rebuilds`` / ``portfolio.checkpoints`` /
+  Recovery actions add the ``portfolio.retries`` /
+  ``portfolio.timeouts`` / ``portfolio.requeues`` /
+  ``portfolio.pool_rebuilds`` / ``portfolio.checkpoints`` /
   ``portfolio.resumed_workers`` counters (docs/observability.md).
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import threading
 import time
 from collections import deque
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeout
 from concurrent.futures.process import BrokenProcessPool
@@ -80,7 +79,7 @@ from dataclasses import dataclass, replace
 from ..core import Problem
 from ..exceptions import SearchError
 from ..quality.overall import Objective
-from ..run_context import run_scope
+from ..run_context import current_run, run_scope
 from ..similarity.matrix import NameSimilarityMatrix
 from ..telemetry import (
     NOOP,
@@ -91,7 +90,6 @@ from ..telemetry import (
 from .base import OptimizerConfig, SearchResult, SearchStats
 from .resilience import (
     Checkpoint,
-    ResilienceConfig,
     WorkerProgress,
     load_checkpoint,
     problem_fingerprint,
@@ -118,11 +116,6 @@ class WorkerSpec:
     config: OptimizerConfig
     params: tuple[tuple[str, object], ...] = ()
     label: str = ""
-    #: Per-worker warm-start selection (sorted source-id tuple).  None
-    #: falls back to the context-wide ``initial``.  The session's
-    #: neighborhood seeding (``Session.solve(neighborhood=True)``) uses
-    #: this to fan workers out around the previous answer.
-    initial: tuple[int, ...] | None = None
 
     @property
     def seed(self) -> int:
@@ -168,7 +161,7 @@ class PortfolioStats:
     its ``portfolio`` field, so callers that ignore parallelism see a
     plain result and callers that care can drill into every worker.
     The resilience counters (``retries`` … ``resumed_workers``) stay 0
-    on runs with no :class:`~repro.search.resilience.ResilienceConfig`.
+    on runs with no worker timeout, retries or checkpoint.
     """
 
     jobs: int
@@ -420,16 +413,10 @@ def _execute_spec(context: WorkerContext, spec: WorkerSpec) -> SearchResult:
     from . import resolve_optimizer_class
 
     cls = resolve_optimizer_class(spec.optimizer)
-    objective = context.build_objective()
-    initial = (
-        frozenset(spec.initial)
-        if spec.initial is not None
-        else context.initial
-    )
     return cls.run_from_config(
-        objective,
+        context.build_objective(),
         spec.config,
-        initial=initial,
+        initial=context.initial,
         **dict(spec.params),
     )
 
@@ -518,21 +505,6 @@ def select_winner(outcomes: Sequence[WorkerOutcome]) -> WorkerOutcome | None:
     return winner
 
 
-class _LocalStopFlag:
-    """In-process stand-in for the multiprocessing early-stop event."""
-
-    __slots__ = ("_set",)
-
-    def __init__(self):
-        self._set = False
-
-    def set(self) -> None:
-        self._set = True
-
-    def is_set(self) -> bool:
-        return self._set
-
-
 # -- run bookkeeping ----------------------------------------------------------
 
 
@@ -541,8 +513,8 @@ class _PortfolioRun:
 
     Owns the final per-worker outcomes, the recovery counters, and the
     checkpoint progress map.  The engine's execution strategies feed it
-    through :meth:`finish`; every finish updates the atomic best-so-far
-    checkpoint when one is configured.
+    through :meth:`succeed` and :meth:`fail`; every finished worker
+    updates the atomic best-so-far checkpoint when one is configured.
     """
 
     def __init__(
@@ -550,13 +522,15 @@ class _PortfolioRun:
         specs: tuple[WorkerSpec, ...],
         context: WorkerContext,
         telemetry,
-        resilience: ResilienceConfig,
+        retries: int,
+        checkpoint: str | None,
         fingerprint: str | None,
     ):
         self.specs = specs
         self.context = context
         self.telemetry = telemetry
-        self.resilience = resilience
+        self.max_retries = retries
+        self.checkpoint = checkpoint
         self.fingerprint = fingerprint
         self.final: dict[int, WorkerOutcome] = {}
         self.progress: dict[int, WorkerProgress] = {
@@ -621,42 +595,62 @@ class _PortfolioRun:
                     )
                 except (TypeError, KeyError, ValueError, IndexError) as exc:
                     raise SearchError(
-                        f"malformed checkpoint "
-                        f"{self.resilience.checkpoint}: cannot restore "
-                        f"worker {entry.index} ({exc})"
+                        f"malformed checkpoint {self.checkpoint}: cannot "
+                        f"restore worker {entry.index} ({exc})"
                     ) from exc
-                outcome = WorkerOutcome(
-                    index=entry.index,
-                    label=spec.describe(),
-                    optimizer=spec.optimizer,
-                    seed=spec.seed,
-                    result=result,
-                    attempts=max(entry.attempts, 1),
-                    resumed=True,
-                )
+                fields = {"result": result}
             else:
-                outcome = WorkerOutcome(
-                    index=entry.index,
-                    label=spec.describe(),
-                    optimizer=spec.optimizer,
-                    seed=spec.seed,
-                    error=entry.error or entry.status,
-                    timed_out=entry.status == "timed_out",
-                    attempts=max(entry.attempts, 1),
-                    resumed=True,
-                )
-            self.final[entry.index] = outcome
+                fields = {
+                    "error": entry.error or entry.status,
+                    "timed_out": entry.status == "timed_out",
+                }
+            self.final[entry.index] = self._outcome(
+                entry.index, max(entry.attempts, 1), resumed=True, **fields
+            )
             self.progress[entry.index] = entry
             self.to_run.remove(entry.index)
             self.resumed_workers += 1
 
     # -- outcome intake -------------------------------------------------------
 
-    def pending_items(self) -> list[tuple[int, WorkerSpec]]:
-        """The workers still to execute, in submission order."""
-        return [(index, self.specs[index]) for index in self.to_run]
+    def succeed(self, index: int, attempt: int, result: SearchResult) -> None:
+        """Finish a worker whose ``attempt`` returned a result."""
+        self._finish(self._outcome(index, attempt + 1, result=result))
 
-    def finish(self, outcome: WorkerOutcome) -> None:
+    def fail(
+        self, index: int, attempt: int, error: str, timed_out: bool = False
+    ) -> bool:
+        """Count one failed attempt; True iff the worker gets another.
+
+        The one retry decision every execution path shares: while the
+        retry budget lasts the caller re-runs the worker at
+        ``attempt + 1``, otherwise the worker finishes as failed (or
+        timed out).
+        """
+        if timed_out:
+            self.timeouts += 1
+        if attempt < self.max_retries:
+            self.retries += 1
+            return True
+        self._finish(
+            self._outcome(
+                index, attempt + 1, error=error, timed_out=timed_out
+            )
+        )
+        return False
+
+    def _outcome(self, index: int, attempts: int, **fields) -> WorkerOutcome:
+        spec = self.specs[index]
+        return WorkerOutcome(
+            index=index,
+            label=spec.describe(),
+            optimizer=spec.optimizer,
+            seed=spec.seed,
+            attempts=attempts,
+            **fields,
+        )
+
+    def _finish(self, outcome: WorkerOutcome) -> None:
         """Record a worker's final outcome and checkpoint best-so-far."""
         self.final[outcome.index] = outcome
         self.progress[outcome.index] = self._progress_of(outcome)
@@ -707,7 +701,7 @@ class _PortfolioRun:
         )
 
     def _write_checkpoint(self) -> None:
-        path = self.resilience.checkpoint
+        path = self.checkpoint
         if path is None:
             return
         best = select_winner(list(self.final.values()))
@@ -738,6 +732,22 @@ class _PortfolioRun:
 
 # -- the engine ---------------------------------------------------------------
 
+#: How many times a broken process pool is rebuilt before the remaining
+#: workers degrade to in-process execution.
+POOL_REBUILDS = 1
+
+
+def validate_portfolio_args(
+    jobs: int = 1, worker_timeout: float | None = None, retries: int = 0
+) -> None:
+    """Raise :class:`SearchError` on a value the engine cannot run."""
+    if jobs < 1:
+        raise SearchError(f"jobs must be >= 1, got {jobs}")
+    if worker_timeout is not None and worker_timeout <= 0:
+        raise SearchError(f"worker_timeout must be > 0, got {worker_timeout}")
+    if retries < 0:
+        raise SearchError(f"retries must be >= 0, got {retries}")
+
 
 class ParallelSolveEngine:
     """Runs a portfolio of optimizer workers and merges deterministically.
@@ -755,12 +765,20 @@ class ParallelSolveEngine:
     start_method:
         ``multiprocessing`` start method (``"fork"``, ``"spawn"``,
         ``"forkserver"``); ``None`` uses the platform default.
-    resilience:
-        Recovery configuration (:class:`~repro.search.resilience.
-        ResilienceConfig`): per-worker timeout, deterministic retry,
-        checkpoint path, pool-rebuild budget.  The default config keeps
-        every feature off, in which case the engine behaves exactly as
-        it did before the resilience layer existed.
+    worker_timeout:
+        Per-worker wall-clock budget in seconds.  In pool mode a worker
+        whose future exceeds it is cancelled and recorded as
+        ``timed_out``; in-process (``jobs=1``) the check is post-hoc —
+        a worker that *returns* after overrunning the budget is still
+        recorded as timed out (and retried), so both modes agree on
+        outcomes, but a truly hung in-process worker cannot be
+        preempted.  ``None`` disables the timeout.
+    retries:
+        Extra attempts for a failed or timed-out worker; each re-runs
+        the identical spec.
+    checkpoint:
+        Path for best-so-far snapshots; also the resume source when the
+        file already exists.  ``None`` disables checkpointing.
     """
 
     def __init__(
@@ -768,14 +786,17 @@ class ParallelSolveEngine:
         jobs: int = 1,
         stop_quality: float | None = None,
         start_method: str | None = None,
-        resilience: ResilienceConfig | None = None,
+        worker_timeout: float | None = None,
+        retries: int = 0,
+        checkpoint: str | None = None,
     ):
-        if jobs < 1:
-            raise SearchError(f"jobs must be >= 1, got {jobs}")
+        validate_portfolio_args(jobs, worker_timeout, retries)
         self.jobs = jobs
         self.stop_quality = stop_quality
         self.start_method = start_method
-        self.resilience = resilience or ResilienceConfig()
+        self.worker_timeout = worker_timeout
+        self.retries = retries
+        self.checkpoint = checkpoint
 
     def solve(
         self,
@@ -790,7 +811,7 @@ class ParallelSolveEngine:
         The returned result is the winning worker's
         :class:`~repro.search.base.SearchResult` with its ``portfolio``
         field set to the run's :class:`PortfolioStats`.  When the
-        resilience config names a checkpoint that already exists, the
+        engine's ``checkpoint`` names a file that already exists, the
         solve *resumes*: finished workers are restored from the snapshot
         (their best solutions bit-identical, no re-search), and only the
         unfinished work actually runs.  Unless the caller passed an
@@ -810,13 +831,13 @@ class ParallelSolveEngine:
         telemetry = get_telemetry()
         fingerprint: str | None = None
         resume: Checkpoint | None = None
-        if self.resilience.checkpoint is not None:
+        if self.checkpoint is not None:
             fingerprint = problem_fingerprint(problem)
-            resume = load_checkpoint(self.resilience.checkpoint)
+            resume = load_checkpoint(self.checkpoint)
             if resume is not None:
                 if resume.fingerprint != fingerprint:
                     raise SearchError(
-                        f"checkpoint {self.resilience.checkpoint} was "
+                        f"checkpoint {self.checkpoint} was "
                         f"written for a different problem (fingerprint "
                         f"{resume.fingerprint} != {fingerprint}); refusing "
                         f"to resume — delete the file to start fresh"
@@ -841,7 +862,8 @@ class ParallelSolveEngine:
             eval_context=eval_context,
         )
         run = _PortfolioRun(
-            specs, context, telemetry, self.resilience, fingerprint
+            specs, context, telemetry, self.retries, self.checkpoint,
+            fingerprint,
         )
         started = time.perf_counter()
         with telemetry.span(
@@ -922,105 +944,66 @@ class ParallelSolveEngine:
         worker, same early-stop bound, same retry/timeout accounting —
         minus the process boundary, so ``jobs=1`` results match
         ``jobs=N`` results exactly.  Telemetry needs no folding: workers
-        trace straight into the live tracer.  Each attempt installs the
-        cooperative stop check through its own run scope (see
-        :meth:`_run_attempts_inline`), so it can never leak past this
-        solve, raised exceptions included.
+        trace straight into the live tracer.
         """
-        flag = _LocalStopFlag()
-        self._run_inline_batch(run, run.pending_items(), flag)
-        return flag.is_set()
+        stop_flag = threading.Event()
+        self._run_inline(run, [(index, 0) for index in run.to_run], stop_flag)
+        return stop_flag.is_set()
 
-    def _run_inline_batch(
+    def _run_inline(
         self,
         run: _PortfolioRun,
-        items: Sequence[tuple[int, WorkerSpec]],
+        items: Sequence[tuple[int, int]],
         stop_flag,
-        start_attempts: Mapping[int, int] | None = None,
     ) -> None:
-        """Execute workers in-process, with per-worker retry/timeout."""
-        for index, spec in items:
-            start = (start_attempts or {}).get(index, 0)
-            outcome = self._run_attempts_inline(
-                run, index, spec, stop_flag, start_attempt=start
-            )
-            run.finish(outcome)
+        """Run ``(worker, first attempt)`` items in-process, in order.
 
-    def _run_attempts_inline(
-        self,
-        run: _PortfolioRun,
-        index: int,
-        spec: WorkerSpec,
-        stop_flag,
-        start_attempt: int = 0,
-    ) -> WorkerOutcome:
-        """One worker's attempt loop, in-process.
-
-        The wall-clock timeout here is post-hoc: without a process
-        boundary a running optimizer cannot be preempted, so an attempt
-        that *returns* after overrunning the budget is discarded and
-        recorded as timed out — keeping inline outcomes consistent with
-        what the pool path would have recorded for the same schedule.
-        Each attempt runs under a run scope that inherits the live
-        tracer and event log and names its own stop check (the
-        shared flag, when an early-stop bound is set).
+        A worker's retries run before the next worker starts.  The
+        wall-clock timeout here is post-hoc: without a process boundary
+        a running optimizer cannot be preempted, so an attempt that
+        *returns* after overrunning the budget is discarded and recorded
+        as timed out — keeping inline outcomes consistent with what the
+        pool path would have recorded for the same schedule.  Attempts
+        keep the caller's stop check; with an early-stop bound they also
+        stop on ``stop_flag``, under a run scope that ends with the
+        attempt, raised exceptions included.
         """
-        policy = self.resilience.retry
-        stop_check = (
-            stop_flag.is_set if self.stop_quality is not None else None
-        )
-        timeout = self.resilience.worker_timeout
-        attempt = start_attempt
-        while True:
-            live = respec_for_attempt(spec, index, attempt, policy.reseed)
-            if attempt > 0:
-                with run.telemetry.span(
-                    "portfolio.retry",
-                    worker=index,
-                    attempt=attempt,
-                    mode="inline",
-                ):
-                    delay = policy.delay(attempt)
-                    if delay:
-                        time.sleep(delay)
-            started = time.perf_counter()
-            error: str | None = None
-            timed_out = False
-            result: SearchResult | None = None
-            try:
-                with run_scope(stop_check=stop_check):
-                    result = _execute_spec(run.context, live)
-            except SystemExit as exc:
-                error = f"SystemExit: {exc.code}"
-            except Exception as exc:  # noqa: BLE001 - per-worker outcome
-                error = f"{type(exc).__name__}: {exc}"
-            else:
-                elapsed = time.perf_counter() - started
-                if timeout is not None and elapsed > timeout:
+        enclosing = current_run().stop_check
+        stop_check = enclosing
+        if self.stop_quality is not None:
+            stop_check = (
+                stop_flag.is_set
+                if enclosing is None
+                else lambda: stop_flag.is_set() or enclosing()
+            )
+        timeout = self.worker_timeout
+        for index, attempt in items:
+            while True:
+                live = respec_for_attempt(run.specs[index], attempt)
+                timed_out = False
+                started = time.perf_counter()
+                try:
+                    with run_scope(stop_check=stop_check):
+                        result = _execute_spec(run.context, live)
+                except SystemExit as exc:
+                    error = f"SystemExit: {exc.code}"
+                except Exception as exc:  # noqa: BLE001 - per-worker outcome
+                    error = f"{type(exc).__name__}: {exc}"
+                else:
+                    elapsed = time.perf_counter() - started
+                    if timeout is None or elapsed <= timeout:
+                        if _hit_quality_bound(result, self.stop_quality):
+                            stop_flag.set()
+                        run.succeed(index, attempt, result)
+                        break
                     error = (
                         f"timed out: ran {elapsed:.2f}s against a "
                         f"{timeout}s budget"
                     )
                     timed_out = True
-                    run.timeouts += 1
-                    result = None
-            if result is not None:
-                if _hit_quality_bound(result, self.stop_quality):
-                    stop_flag.set()
-                return self._success(
-                    index, spec, result, attempts=attempt + 1
-                )
-            if attempt < policy.max_retries:
+                if not run.fail(index, attempt, error, timed_out):
+                    break
                 attempt += 1
-                run.retries += 1
-                continue
-            return self._failure(
-                index,
-                spec,
-                error,
-                timed_out=timed_out,
-                attempts=attempt + 1,
-            )
 
     def _solve_pool(self, run: _PortfolioRun) -> bool:
         """Fan the workers out across a process pool and gather outcomes.
@@ -1035,28 +1018,22 @@ class ParallelSolveEngine:
         executing is abandoned — replaced with a fresh pool for later
         rounds and shut down without joining, so a genuinely hung worker
         can delay the solve by at most one timeout, never block it.  A
-        :class:`BrokenProcessPool` rebuilds the pool once (requeueing
-        everything uncollected); if the rebuilt pool breaks too, the
-        remaining workers degrade to the in-process path, so a solve
-        survives even a machine that cannot keep a process pool alive.
+        :class:`BrokenProcessPool` rebuilds the pool (up to
+        :data:`POOL_REBUILDS` times, requeueing everything uncollected);
+        if the rebuilt pool breaks too, the remaining workers degrade to
+        the in-process path, so a solve survives even a machine that
+        cannot keep a process pool alive.
         """
-        mp_context = (
-            multiprocessing.get_context(self.start_method)
-            if self.start_method
-            else multiprocessing.get_context()
-        )
+        mp_context = multiprocessing.get_context(self.start_method)
         stop_event = (
             mp_context.Event() if self.stop_quality is not None else None
         )
-        policy = self.resilience.retry
-        timeout = self.resilience.worker_timeout
-        telemetry = run.telemetry
-        launch_offset = telemetry.now()
-        pending: deque[tuple[int, WorkerSpec, int]] = deque(
-            (index, spec, 0) for index, spec in run.pending_items()
+        launch_offset = run.telemetry.now()
+        pending: deque[tuple[int, int]] = deque(
+            (index, 0) for index in run.to_run
         )
-        rebuilds_left = self.resilience.pool_rebuilds
-        leftovers: list[tuple[int, WorkerSpec, int]] = []
+        rebuilds_left = POOL_REBUILDS
+        leftovers: list[tuple[int, int]] = []
         # True while the *live* pool still hosts a timed-out task that
         # was already executing when its future missed the deadline
         # (future.cancel() cannot stop a running task).  Such a pool is
@@ -1069,56 +1046,38 @@ class ParallelSolveEngine:
             while pending:
                 batch = list(pending)
                 pending.clear()
-                futures = []
-                broken_at: int | None = None
-                for slot, (index, spec, attempt) in enumerate(batch):
-                    live = respec_for_attempt(
-                        spec, index, attempt, policy.reseed
-                    )
-                    if attempt > 0:
-                        with telemetry.span(
-                            "portfolio.retry",
-                            worker=index,
-                            attempt=attempt,
-                            mode="pool",
-                        ):
-                            delay = policy.delay(attempt)
-                            if delay:
-                                time.sleep(delay)
-                    try:
-                        futures.append(
-                            pool.submit(_run_worker, index, live, attempt)
+                try:
+                    futures = [
+                        pool.submit(
+                            _run_worker,
+                            index,
+                            respec_for_attempt(run.specs[index], attempt),
+                            attempt,
                         )
-                    except (BrokenProcessPool, RuntimeError):
-                        # The pool died before this round even launched:
-                        # nothing submitted this round can be trusted.
-                        broken_at = 0
-                        break
-                if broken_at is None:
+                        for index, attempt in batch
+                    ]
+                except (BrokenProcessPool, RuntimeError):
+                    # The pool died before this round even launched:
+                    # nothing submitted this round can be trusted.
+                    broken_at = 0
+                else:
                     broken_at, abandoned = self._collect_round(
-                        run, batch, futures, pending, timeout, policy,
-                        launch_offset, started,
+                        run, batch, futures, pending, launch_offset, started
                     )
-                    if abandoned:
-                        pool_hung = True
+                    pool_hung = pool_hung or abandoned
                 if broken_at is not None:
                     uncollected = batch[broken_at:]
+                    run.requeues += len(uncollected)
                     pool.shutdown(wait=False, cancel_futures=True)
-                    if rebuilds_left > 0:
-                        rebuilds_left -= 1
-                        run.pool_rebuilds += 1
-                        run.requeues += len(uncollected)
-                        pending = deque(uncollected) + pending
-                        pool, started = self._new_pool(
-                            mp_context, run, stop_event
-                        )
-                        pool_hung = False
-                    else:
-                        leftovers = list(uncollected) + list(pending)
-                        run.requeues += len(uncollected)
-                        pending = deque()
+                    if rebuilds_left == 0:
+                        leftovers = uncollected + list(pending)
                         pool = None
                         break
+                    rebuilds_left -= 1
+                    run.pool_rebuilds += 1
+                    pending = deque(uncollected) + pending
+                    pool, started = self._new_pool(mp_context, run, stop_event)
+                    pool_hung = False
                 elif pool_hung and pending:
                     # Rotate away from the hostage pool so retries and
                     # requeued bystanders run on fresh processes.  This
@@ -1139,22 +1098,19 @@ class ParallelSolveEngine:
             # rebuild budget allows, so its leftovers run in-process.
             # The shared early-stop event keeps working as each
             # attempt's stop check.
-            self._run_inline_batch(
+            self._run_inline(
                 run,
-                [(index, spec) for index, spec, _ in leftovers],
-                stop_event if stop_event is not None else _LocalStopFlag(),
-                {index: attempt for index, _, attempt in leftovers},
+                leftovers,
+                stop_event if stop_event is not None else threading.Event(),
             )
         return stop_event.is_set() if stop_event is not None else False
 
     def _collect_round(
         self,
         run: _PortfolioRun,
-        batch: list[tuple[int, WorkerSpec, int]],
+        batch: list[tuple[int, int]],
         futures: list,
         pending: deque,
-        timeout: float | None,
-        policy,
         launch_offset: float,
         started=None,
     ) -> tuple[int | None, bool]:
@@ -1169,12 +1125,12 @@ class ParallelSolveEngine:
         cancel can no longer reach it — so the caller must neither join
         nor reuse that pool.
         """
-        telemetry = run.telemetry
         abandoned = False
         for slot, future in enumerate(futures):
-            index, spec, attempt = batch[slot]
+            index, attempt = batch[slot]
+            timed_out = False
             try:
-                payload = self._await(future, timeout, started)
+                payload = self._await(future, self.worker_timeout, started)
             except FuturesTimeout:
                 cancelled = future.cancel()
                 if started is not None and started[index] <= attempt:
@@ -1191,48 +1147,28 @@ class ParallelSolveEngine:
                     # would eventually run there too — mark the pool
                     # abandoned so the round rotates away from it.
                     run.requeues += 1
-                    pending.append((index, spec, attempt))
-                    if not cancelled:
-                        abandoned = True
+                    pending.append((index, attempt))
+                    abandoned = abandoned or not cancelled
                     continue
                 abandoned = True
-                run.timeouts += 1
-                error = f"timed out after {timeout}s"
-                if attempt < policy.max_retries:
-                    run.retries += 1
-                    pending.append((index, spec, attempt + 1))
-                else:
-                    run.finish(
-                        self._failure(
-                            index, spec, error,
-                            timed_out=True, attempts=attempt + 1,
-                        )
-                    )
-                continue
+                timed_out = True
+                error = f"timed out after {self.worker_timeout}s"
             except BrokenProcessPool:
                 return slot, abandoned
             except Exception as exc:  # noqa: BLE001 - e.g. pickling errors
-                self._retry_or_finish(
-                    run, pending, index, spec, attempt,
-                    f"{type(exc).__name__}: {exc}",
-                )
-                continue
-            error = payload.get("error")
-            if error is not None:
-                self._retry_or_finish(
-                    run, pending, index, spec, attempt, error
-                )
-                continue
-            telemetry.absorb(
-                payload.get("spans", ()),
-                payload.get("metrics"),
-                offset=launch_offset,
-            )
-            run.finish(
-                self._success(
-                    index, spec, payload["result"], attempts=attempt + 1
-                )
-            )
+                error = f"{type(exc).__name__}: {exc}"
+            else:
+                error = payload.get("error")
+                if error is None:
+                    run.telemetry.absorb(
+                        payload.get("spans", ()),
+                        payload.get("metrics"),
+                        offset=launch_offset,
+                    )
+                    run.succeed(index, attempt, payload["result"])
+                    continue
+            if run.fail(index, attempt, error, timed_out):
+                pending.append((index, attempt + 1))
         return None, abandoned
 
     @staticmethod
@@ -1253,24 +1189,6 @@ class ParallelSolveEngine:
                 if started is None or any(started[:]):
                     raise
 
-    def _retry_or_finish(
-        self,
-        run: _PortfolioRun,
-        pending: deque,
-        index: int,
-        spec: WorkerSpec,
-        attempt: int,
-        error: str,
-    ) -> None:
-        """Requeue a failed attempt while the retry budget lasts."""
-        if attempt < self.resilience.retry.max_retries:
-            run.retries += 1
-            pending.append((index, spec, attempt + 1))
-        else:
-            run.finish(
-                self._failure(index, spec, error, attempts=attempt + 1)
-            )
-
     def _new_pool(
         self, mp_context, run: _PortfolioRun, stop_event
     ) -> tuple[ProcessPoolExecutor, "object | None"]:
@@ -1287,7 +1205,7 @@ class ParallelSolveEngine:
         """
         started = (
             mp_context.Array("i", len(run.specs))
-            if self.resilience.worker_timeout is not None
+            if self.worker_timeout is not None
             else None
         )
         pool = ProcessPoolExecutor(
@@ -1297,40 +1215,6 @@ class ParallelSolveEngine:
             initargs=(run.context, stop_event, started),
         )
         return pool, started
-
-    @staticmethod
-    def _success(
-        index: int,
-        spec: WorkerSpec,
-        result: SearchResult,
-        attempts: int = 1,
-    ) -> WorkerOutcome:
-        return WorkerOutcome(
-            index=index,
-            label=spec.describe(),
-            optimizer=spec.optimizer,
-            seed=spec.seed,
-            result=result,
-            attempts=attempts,
-        )
-
-    @staticmethod
-    def _failure(
-        index: int,
-        spec: WorkerSpec,
-        error: str,
-        timed_out: bool = False,
-        attempts: int = 1,
-    ) -> WorkerOutcome:
-        return WorkerOutcome(
-            index=index,
-            label=spec.describe(),
-            optimizer=spec.optimizer,
-            seed=spec.seed,
-            error=error,
-            timed_out=timed_out,
-            attempts=attempts,
-        )
 
     def __repr__(self) -> str:
         return (

@@ -1,21 +1,17 @@
 """Resilience layer for the portfolio engine: timeouts, retry, checkpoints.
 
-The parallel engine (PR 4) made worker failure *survivable* — a crashed
+The parallel engine made worker failure *survivable* — a crashed
 worker becomes a :class:`~repro.search.parallel.WorkerOutcome` with an
 error instead of sinking the solve.  This module makes failure
 *recoverable*, under one hard constraint: every recovery action must keep
 the portfolio a pure function of its inputs.  Concretely:
 
 * **Deterministic retry.**  A failed or timed-out worker is re-run up to
-  ``RetryPolicy.max_retries`` times on a fixed backoff schedule.  By
-  default the retry re-runs the *identical* spec (same optimizer, same
-  seed), so a transient fault — a killed process, a hung machine — costs
-  wall-clock but cannot change the answer: the retried portfolio's winner
-  is the winner an unfaulted run would have produced.  For faults that
-  are themselves a function of the seed, ``RetryPolicy(reseed=True)``
-  derives the retry seed through :func:`derive_worker_seed`, a pure
-  ``(base_seed, worker_index, attempt)`` mix — two faulted runs with the
-  same seeds and the same faults still produce the same winner.
+  the engine's ``retries`` extra times, immediately and with the
+  *identical* spec (same optimizer, same seed), so a transient fault — a
+  killed process, a hung machine — costs wall-clock but cannot change
+  the answer: the retried portfolio's winner is the winner an unfaulted
+  run would have produced.
 
 * **Checkpoint/resume.**  The engine snapshots best-so-far state after
   every worker outcome as an atomic JSON file (write to ``.tmp``, then
@@ -39,7 +35,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -59,146 +55,18 @@ CHECKPOINT_VERSION = 1
 #: ordinary optimizer would claim.
 ATTEMPT_PARAM = "__attempt__"
 
-_MASK64 = (1 << 64) - 1
 
-#: Derived seeds stay below 2**63 so numpy's ``default_rng`` accepts them
-#: on every platform.
-_SEED_SPACE = 1 << 63
-
-
-def derive_worker_seed(base_seed: int, worker_index: int, attempt: int) -> int:
-    """A pure, stable seed for one worker's ``attempt``-th retry.
-
-    Attempt 0 is the worker's own seed, untouched — the derivation is an
-    extension of the existing seeding scheme, not a replacement.  Later
-    attempts mix ``(base_seed, worker_index, attempt)`` through a
-    splitmix64-style finalizer, so the retry seed is a fixed function of
-    the three coordinates: the same faulted portfolio re-run yields the
-    same retry seeds, on any platform, in any process.
-    """
-    if attempt <= 0:
-        return base_seed
-    x = (
-        (base_seed & _MASK64) * 0x9E3779B97F4A7C15
-        + (worker_index & _MASK64) * 0xBF58476D1CE4E5B9
-        + (attempt & _MASK64) * 0x94D049BB133111EB
-    ) & _MASK64
-    x ^= x >> 30
-    x = (x * 0xBF58476D1CE4E5B9) & _MASK64
-    x ^= x >> 27
-    x = (x * 0x94D049BB133111EB) & _MASK64
-    x ^= x >> 31
-    return x % _SEED_SPACE
-
-
-@dataclass(frozen=True, slots=True)
-class RetryPolicy:
-    """How (and how often) failed or timed-out workers are re-run.
-
-    Attributes
-    ----------
-    max_retries:
-        Additional attempts after the first (0 disables retry).
-    backoff:
-        Deterministic delay schedule in seconds: attempt ``k`` (k >= 1)
-        sleeps ``backoff[k - 1]``, clamped to the last entry.  Empty
-        means no delay.  There is deliberately no jitter — retry timing
-        must be as reproducible as the retried search.
-    reseed:
-        Re-run retries under :func:`derive_worker_seed` instead of the
-        original seed.  Leave False (the default) when faults are
-        environmental: the retried worker then reproduces exactly the
-        result the unfaulted run would have produced.  Set True when the
-        failure is a function of the seed itself and re-running it
-        verbatim would fail forever.
-    """
-
-    max_retries: int = 0
-    backoff: tuple[float, ...] = ()
-    reseed: bool = False
-
-    def __post_init__(self) -> None:
-        if self.max_retries < 0:
-            raise SearchError(
-                f"max_retries must be >= 0, got {self.max_retries}"
-            )
-        if any(delay < 0 for delay in self.backoff):
-            raise SearchError(f"backoff delays must be >= 0: {self.backoff}")
-
-    @property
-    def max_attempts(self) -> int:
-        """Total attempts a worker may consume (first run included)."""
-        return self.max_retries + 1
-
-    def delay(self, attempt: int) -> float:
-        """Seconds to wait before running ``attempt`` (>= 1)."""
-        if attempt < 1 or not self.backoff:
-            return 0.0
-        return self.backoff[min(attempt - 1, len(self.backoff) - 1)]
-
-
-@dataclass(frozen=True, slots=True)
-class ResilienceConfig:
-    """The engine's recovery knobs, bundled.
-
-    Attributes
-    ----------
-    worker_timeout:
-        Per-worker wall-clock budget in seconds.  In pool mode a worker
-        whose future exceeds it is cancelled and recorded as
-        ``timed_out``; in-process (``jobs=1``) the check is post-hoc —
-        a worker that *returns* after overrunning the budget is still
-        recorded as timed out (and retried), so both modes agree on
-        outcomes, but a truly hung in-process worker cannot be
-        preempted.  ``None`` disables the timeout.
-    retry:
-        The :class:`RetryPolicy` for failed/timed-out workers.
-    checkpoint:
-        Path for best-so-far snapshots; also the resume source when the
-        file already exists.  ``None`` disables checkpointing.
-    pool_rebuilds:
-        How many times a broken process pool is rebuilt before the
-        engine degrades to running the remaining workers in-process.
-    """
-
-    worker_timeout: float | None = None
-    retry: RetryPolicy = field(default_factory=RetryPolicy)
-    checkpoint: str | None = None
-    pool_rebuilds: int = 1
-
-    def __post_init__(self) -> None:
-        if self.worker_timeout is not None and self.worker_timeout <= 0:
-            raise SearchError(
-                f"worker_timeout must be > 0, got {self.worker_timeout}"
-            )
-        if self.pool_rebuilds < 0:
-            raise SearchError(
-                f"pool_rebuilds must be >= 0, got {self.pool_rebuilds}"
-            )
-
-    @property
-    def active(self) -> bool:
-        """True iff any resilience feature is switched on."""
-        return (
-            self.worker_timeout is not None
-            or self.retry.max_retries > 0
-            or self.checkpoint is not None
-        )
-
-
-def respec_for_attempt(
-    spec: "WorkerSpec", worker_index: int, attempt: int, reseed: bool
-) -> "WorkerSpec":
+def respec_for_attempt(spec: "WorkerSpec", attempt: int) -> "WorkerSpec":
     """The spec to actually run for a worker's ``attempt``-th try.
 
-    Attempt 0 is the caller's spec verbatim.  Retries rewrite two things,
-    both deterministically: the optimizer seed (only under ``reseed``,
-    via :func:`derive_worker_seed`), and any constructor param keyed on
-    the reserved :data:`ATTEMPT_PARAM` name — the installation contract
-    the fault-injection harness (:mod:`repro.testing.faults`) uses to
-    key faults on ``(worker_index, attempt)`` without the engine knowing
-    about faults.  Ordinary params — including one a real optimizer
-    happens to call ``attempt`` — pass through untouched.
+    A retry re-runs the identical search: same optimizer, same config,
+    same seed.  The one rewrite is any constructor param keyed on the
+    reserved :data:`ATTEMPT_PARAM` name, set to ``attempt`` — the
+    installation contract the fault-injection harness
+    (:mod:`repro.testing.faults`) uses to key faults on
+    ``(worker_index, attempt)`` without the engine knowing about faults.
+    Ordinary params — including one a real optimizer happens to call
+    ``attempt`` — pass through untouched.
     """
     if attempt <= 0:
         return spec
@@ -206,13 +74,7 @@ def respec_for_attempt(
         (key, attempt if key == ATTEMPT_PARAM else value)
         for key, value in spec.params
     )
-    config = spec.config
-    if reseed:
-        config = replace(
-            config,
-            seed=derive_worker_seed(spec.config.seed, worker_index, attempt),
-        )
-    return replace(spec, config=config, params=params)
+    return replace(spec, params=params)
 
 
 # -- problem fingerprint ------------------------------------------------------
@@ -428,10 +290,7 @@ __all__ = [
     "ATTEMPT_PARAM",
     "CHECKPOINT_VERSION",
     "Checkpoint",
-    "ResilienceConfig",
-    "RetryPolicy",
     "WorkerProgress",
-    "derive_worker_seed",
     "load_checkpoint",
     "problem_fingerprint",
     "respec_for_attempt",

@@ -41,6 +41,11 @@ from ..exceptions import ConstraintError, ReproError, WeightError
 from ..quality.overall import Objective
 from ..run_context import run_scope
 from ..search import OptimizerConfig, SearchResult, get_optimizer
+from ..search.parallel import (
+    ParallelSolveEngine,
+    resolve_portfolio,
+    validate_portfolio_args,
+)
 from ..similarity.matrix import NameSimilarityMatrix
 from ..similarity.measures import SimilarityMeasure, default_measure
 from ..telemetry import NoopTelemetry, Telemetry, get_telemetry
@@ -254,7 +259,6 @@ class Session:
         checkpoint: str | None = None,
         worker_timeout: float | None = None,
         retries: int = 0,
-        neighborhood: bool = False,
     ) -> Iteration:
         """Solve the current problem and record the iteration.
 
@@ -295,18 +299,14 @@ class Session:
         budget in seconds; ``retries`` re-runs failed or timed-out
         workers deterministically up to that many extra attempts.  Any
         of the three switches the solve onto the portfolio engine.
+        ``jobs < 1``, ``retries < 0`` and ``worker_timeout <= 0`` raise
+        :class:`~repro.exceptions.SearchError` on every path.
 
         Each solve first runs the delta pipeline (unless the session was
         built with ``delta=False``): the edits journaled since the last
         solve are classified by :func:`repro.session.delta.plan_delta`
         and only the invalidated compiled layers are rebuilt — see
         docs/incremental.md and the ``session.delta.*`` counters.
-
-        ``neighborhood`` (portfolio solves only) seeds workers beyond the
-        first with single-swap repaired neighbors of the warm-start
-        selection instead of all starting from the same point — useful
-        after an edit, when the previous answer is near-optimal and the
-        portfolio should fan out around it.
 
         Every solve also appends a durable record to the session's run
         registry (see the ``record_runs`` constructor parameter) —
@@ -315,6 +315,9 @@ class Session:
         from ..explain.attribution import change_notes, explain_solution
         from ..explain.events import EventLog, NOOP_EVENTS
 
+        validate_portfolio_args(
+            1 if jobs is None else jobs, worker_timeout, retries
+        )
         use_portfolio = (
             jobs is not None
             or portfolio is not None
@@ -354,7 +357,6 @@ class Session:
                     checkpoint=checkpoint,
                     worker_timeout=worker_timeout,
                     retries=retries,
-                    neighborhood=neighborhood,
                 )
             else:
                 engine = get_optimizer(
@@ -740,7 +742,6 @@ class Session:
         checkpoint: str | None = None,
         worker_timeout: float | None = None,
         retries: int = 0,
-        neighborhood: bool = False,
     ) -> SearchResult:
         """Run one solve through the parallel portfolio engine.
 
@@ -748,26 +749,19 @@ class Session:
         to the workers with the problem, so each worker's objective skips
         its own cold compile.
         """
-        from ..search.parallel import ParallelSolveEngine, resolve_portfolio
-        from ..search.resilience import ResilienceConfig, RetryPolicy
-
+        jobs = 1 if jobs is None else jobs
         workers = resolve_portfolio(
             portfolio,
-            jobs or 1,
+            jobs,
             optimizer or self.optimizer_name,
             self.optimizer_config,
         )
-        if neighborhood and initial:
-            workers = self._seed_neighborhood(workers, initial, problem)
-        resilience = ResilienceConfig(
-            worker_timeout=worker_timeout,
-            retry=RetryPolicy(max_retries=retries),
-            checkpoint=checkpoint,
-        )
         engine = ParallelSolveEngine(
-            jobs=jobs or 1,
+            jobs=jobs,
             stop_quality=stop_quality,
-            resilience=resilience,
+            worker_timeout=worker_timeout,
+            retries=retries,
+            checkpoint=checkpoint,
         )
         return engine.solve(
             problem,
@@ -776,47 +770,6 @@ class Session:
             initial=initial,
             eval_context=objective.context,
         )
-
-    def _seed_neighborhood(
-        self,
-        workers: Sequence,
-        initial: frozenset[int],
-        problem: Problem,
-    ) -> list:
-        """Spread portfolio workers over the warm start's neighborhood.
-
-        Worker 0 keeps the global warm start; every later worker is
-        seeded with a distinct single-swap neighbor of it (repaired to
-        the current universe first), cycling when the portfolio is wider
-        than the neighborhood.  Purely a different *starting point* per
-        worker — the objective and search dynamics are untouched.
-        """
-        neighbors = self._neighborhood(initial, problem)
-        if not neighbors:
-            return list(workers)
-        seeded = [workers[0]]
-        for position, spec in enumerate(workers[1:]):
-            seeded.append(
-                replace(spec, initial=neighbors[position % len(neighbors)])
-            )
-        return seeded
-
-    @staticmethod
-    def _neighborhood(
-        initial: frozenset[int], problem: Problem
-    ) -> list[tuple[int, ...]]:
-        """Deterministic single-swap neighbors of a repaired selection."""
-        universe_ids = problem.universe.source_ids
-        selected = frozenset(initial) & universe_ids
-        neighbors: list[tuple[int, ...]] = []
-        for source_id in sorted(selected - problem.source_constraints):
-            drop = selected - {source_id}
-            if drop:
-                neighbors.append(tuple(sorted(drop)))
-        if len(selected) < problem.max_sources:
-            for source_id in sorted(universe_ids - selected):
-                neighbors.append(tuple(sorted(selected | {source_id})))
-        return neighbors
 
     def _record_run(
         self,

@@ -320,3 +320,27 @@ class TestExplainCommands:
         bad = tmp_path / "missing-dir" / "chrome.json"
         assert main(["trace-report", str(trace), "--chrome", str(bad)]) == 2
         assert "cannot write chrome trace" in capsys.readouterr().err
+
+
+class TestSolveArgumentErrors:
+    """A rejected solve argument is one ``error:`` line and exit code 2."""
+
+    @pytest.mark.parametrize(
+        ("flags", "message"),
+        [
+            (["--portfolio", "tabu:0"], "worker count must be >= 1"),
+            (["--worker-timeout", "0"], "worker_timeout must be > 0"),
+            (["--jobs", "1", "--retries", "-1"], "retries must be >= 0"),
+            (["--retries", "-1"], "retries must be >= 0"),
+            (["--jobs", "0"], "jobs must be >= 1"),
+        ],
+    )
+    def test_rejected_argument_exits_2_without_traceback(
+        self, capsys, flags, message
+    ):
+        argv = ["solve", "--sources", "20", "--choose", "4"] + flags
+        assert main(argv + ["--iterations", "4"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {message}")
+        assert "Traceback" not in captured.err
+        assert "Solution:" not in captured.out

@@ -11,13 +11,7 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.search import (
-    OptimizerConfig,
-    ParallelSolveEngine,
-    ResilienceConfig,
-    RetryPolicy,
-    seeded_restarts,
-)
+from repro.search import OptimizerConfig, ParallelSolveEngine, seeded_restarts
 from repro.search.resilience import problem_fingerprint
 from repro.session import Session
 from repro.telemetry.observatory import build_run_record
@@ -51,12 +45,11 @@ class TestFaultedObservatory:
                 FaultSpec(worker=2, attempt=0, kind="hang", seconds=0.4),
             )
         )
-        resilience = ResilienceConfig(
-            worker_timeout=10.0 if jobs > 1 else 0.15,
-            retry=RetryPolicy(max_retries=1),
-        )
         result = ParallelSolveEngine(
-            jobs=jobs, start_method=start_method, resilience=resilience
+            jobs=jobs,
+            start_method=start_method,
+            worker_timeout=10.0 if jobs > 1 else 0.15,
+            retries=1,
         ).solve(problem, faulted_portfolio(specs, plan))
 
         record = build_run_record(

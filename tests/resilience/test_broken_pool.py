@@ -1,13 +1,6 @@
 """BrokenProcessPool recovery: rebuild, requeue, degrade to in-process."""
 
-import pytest
-
-from repro.search import (
-    ParallelSolveEngine,
-    ResilienceConfig,
-    RetryPolicy,
-    seeded_restarts,
-)
+from repro.search import ParallelSolveEngine, seeded_restarts
 from repro.testing import FaultPlan, FaultSpec, faulty_spec
 
 from .conftest import CONFIG
@@ -47,11 +40,8 @@ class TestBrokenPoolRecovery:
         ).solve(problem, specs)
 
         plan = break_plan((1, 0))
-        resilience = ResilienceConfig(
-            retry=RetryPolicy(max_retries=1), pool_rebuilds=1
-        )
         result = ParallelSolveEngine(
-            jobs=2, start_method=start_method, resilience=resilience
+            jobs=2, start_method=start_method, retries=1
         ).solve(problem, faulted_portfolio(specs, plan))
 
         assert result.portfolio.pool_rebuilds == 1
@@ -61,20 +51,6 @@ class TestBrokenPoolRecovery:
         assert result.solution.objective == clean.solution.objective
         assert result.portfolio.winner_index == clean.portfolio.winner_index
 
-    def test_zero_rebuild_budget_degrades_straight_to_inline(
-        self, problem, start_method
-    ):
-        specs = seeded_restarts("local", 2, CONFIG)
-        plan = break_plan((0, 0))
-        resilience = ResilienceConfig(
-            retry=RetryPolicy(max_retries=1), pool_rebuilds=0
-        )
-        result = ParallelSolveEngine(
-            jobs=2, start_method=start_method, resilience=resilience
-        ).solve(problem, faulted_portfolio(specs, plan))
-        assert result.portfolio.pool_rebuilds == 0
-        assert all(o.ok for o in result.portfolio.workers)
-
     def test_unretried_break_leaves_a_failed_outcome(
         self, problem, start_method
     ):
@@ -83,19 +59,11 @@ class TestBrokenPoolRecovery:
         # still returns the surviving workers' best.
         specs = seeded_restarts("local", 2, CONFIG)
         plan = break_plan((1, 0))
-        resilience = ResilienceConfig(pool_rebuilds=1)
         result = ParallelSolveEngine(
-            jobs=2, start_method=start_method, resilience=resilience
+            jobs=2, start_method=start_method
         ).solve(problem, faulted_portfolio(specs, plan))
         outcome = result.portfolio.workers[1]
         assert not outcome.ok
         assert "FaultInjected" in outcome.error
         assert result.portfolio.workers[0].ok
 
-
-class TestPoolRebuildValidation:
-    def test_negative_rebuilds_rejected(self):
-        from repro.exceptions import SearchError
-
-        with pytest.raises(SearchError, match="pool_rebuilds"):
-            ResilienceConfig(pool_rebuilds=-1)

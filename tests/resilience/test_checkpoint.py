@@ -9,7 +9,6 @@ from repro.exceptions import SearchError
 from repro.search import (
     Checkpoint,
     ParallelSolveEngine,
-    ResilienceConfig,
     WorkerProgress,
     WorkerSpec,
     load_checkpoint,
@@ -28,7 +27,7 @@ def engine(path, jobs=1, start_method=None):
     return ParallelSolveEngine(
         jobs=jobs,
         start_method=start_method,
-        resilience=ResilienceConfig(checkpoint=str(path)),
+        checkpoint=str(path),
     )
 
 

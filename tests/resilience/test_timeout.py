@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.search import (
-    ParallelSolveEngine,
-    ResilienceConfig,
-    RetryPolicy,
-    seeded_restarts,
-)
+from repro.search import ParallelSolveEngine, seeded_restarts
 from repro.testing import FaultPlan, FaultSpec, faulty_spec
 
 from .conftest import CONFIG
@@ -32,13 +27,10 @@ class TestInlineTimeout:
     def test_overrun_is_recorded_and_retried(self, problem):
         specs = seeded_restarts("local", 2, CONFIG)
         plan = hang_plan((1, 0), seconds=0.3)
-        resilience = ResilienceConfig(
-            worker_timeout=0.1, retry=RetryPolicy(max_retries=1)
-        )
         clean = ParallelSolveEngine(jobs=1).solve(problem, specs)
-        result = ParallelSolveEngine(jobs=1, resilience=resilience).solve(
-            problem, faulted_portfolio(specs, plan)
-        )
+        result = ParallelSolveEngine(
+            jobs=1, worker_timeout=0.1, retries=1
+        ).solve(problem, faulted_portfolio(specs, plan))
         assert result.portfolio.timeouts == 1
         assert result.portfolio.retries == 1
         outcome = result.portfolio.workers[1]
@@ -49,12 +41,9 @@ class TestInlineTimeout:
     def test_exhausted_timeouts_leave_a_timed_out_outcome(self, problem):
         specs = seeded_restarts("local", 2, CONFIG)
         plan = hang_plan((1, 0), (1, 1), seconds=0.3)
-        resilience = ResilienceConfig(
-            worker_timeout=0.1, retry=RetryPolicy(max_retries=1)
-        )
-        result = ParallelSolveEngine(jobs=1, resilience=resilience).solve(
-            problem, faulted_portfolio(specs, plan)
-        )
+        result = ParallelSolveEngine(
+            jobs=1, worker_timeout=0.1, retries=1
+        ).solve(problem, faulted_portfolio(specs, plan))
         outcome = result.portfolio.workers[1]
         assert not outcome.ok
         assert outcome.timed_out
@@ -81,14 +70,11 @@ class TestPoolTimeout:
         # the deadline, but stay bounded so the orphaned process exits
         # quickly after the test.
         plan = hang_plan((1, 0), seconds=2.0)
-        resilience = ResilienceConfig(
-            worker_timeout=0.3, retry=RetryPolicy(max_retries=1)
-        )
         clean = ParallelSolveEngine(
             jobs=2, start_method=start_method
         ).solve(problem, specs)
         result = ParallelSolveEngine(
-            jobs=2, start_method=start_method, resilience=resilience
+            jobs=2, start_method=start_method, worker_timeout=0.3, retries=1
         ).solve(problem, faulted_portfolio(specs, plan))
         assert result.portfolio.timeouts >= 1
         outcome = result.portfolio.workers[1]
@@ -101,9 +87,8 @@ class TestPoolTimeout:
     ):
         specs = seeded_restarts("local", 2, CONFIG)
         plan = hang_plan((0, 0), seconds=2.0)
-        resilience = ResilienceConfig(worker_timeout=0.3)
         result = ParallelSolveEngine(
-            jobs=2, start_method=start_method, resilience=resilience
+            jobs=2, start_method=start_method, worker_timeout=0.3
         ).solve(problem, faulted_portfolio(specs, plan))
         outcome = result.portfolio.workers[0]
         assert not outcome.ok
@@ -126,10 +111,9 @@ class TestAbandonedPool:
         hang = 4.0
         specs = seeded_restarts("local", 2, CONFIG)
         plan = hang_plan((0, 0), seconds=hang)
-        resilience = ResilienceConfig(worker_timeout=0.3)
         started = time.monotonic()
         result = ParallelSolveEngine(
-            jobs=2, start_method=start_method, resilience=resilience
+            jobs=2, start_method=start_method, worker_timeout=0.3
         ).solve(problem, faulted_portfolio(specs, plan))
         elapsed = time.monotonic() - started
         assert elapsed < hang - 1.0
@@ -150,14 +134,11 @@ class TestAbandonedPool:
         """
         specs = seeded_restarts("local", 3, CONFIG)
         plan = hang_plan((0, 0), (1, 0), seconds=5.0)
-        resilience = ResilienceConfig(
-            worker_timeout=1.0, retry=RetryPolicy(max_retries=1)
-        )
         clean = ParallelSolveEngine(
             jobs=2, start_method=start_method
         ).solve(problem, specs)
         result = ParallelSolveEngine(
-            jobs=2, start_method=start_method, resilience=resilience
+            jobs=2, start_method=start_method, worker_timeout=1.0, retries=1
         ).solve(problem, faulted_portfolio(specs, plan))
         assert all(o.ok for o in result.portfolio.workers)
         # Only the two genuinely hung attempts count as timeouts/retries;
@@ -205,11 +186,8 @@ class TestPoolStartUp:
         monkeypatch.setattr(parallel, "_worker_init", slow_init)
         monkeypatch.setattr(ParallelSolveEngine, "_new_pool", guarded_new_pool)
         specs = seeded_restarts("local", 2, CONFIG)
-        resilience = ResilienceConfig(
-            worker_timeout=0.3, retry=RetryPolicy(max_retries=1)
-        )
         result = ParallelSolveEngine(
-            jobs=2, start_method="fork", resilience=resilience
+            jobs=2, start_method="fork", worker_timeout=0.3, retries=1
         ).solve(problem, specs)
         assert result.portfolio.timeouts == 0
         assert result.portfolio.pool_rebuilds == 0
@@ -221,4 +199,4 @@ class TestTimeoutValidation:
         from repro.exceptions import SearchError
 
         with pytest.raises(SearchError, match="worker_timeout"):
-            ResilienceConfig(worker_timeout=0.0)
+            ParallelSolveEngine(worker_timeout=0.0)

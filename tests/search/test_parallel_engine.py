@@ -26,8 +26,6 @@ from repro.run_context import current_run
 from repro.search import (
     OptimizerConfig,
     ParallelSolveEngine,
-    ResilienceConfig,
-    RetryPolicy,
     WorkerSpec,
     parse_portfolio,
     render_portfolio,
@@ -50,11 +48,12 @@ def start_method():
     return os.environ.get("MUBE_TEST_START_METHOD") or None
 
 
-def prebuilt_solve(jobs, start_method=None, resilience=None, plan=None):
+def prebuilt_solve(jobs, start_method=None, plan=None, **recovery):
     """A three-worker tabu solve handed a prebuilt matrix and EvalContext.
 
     ``plan`` injects faults into the workers through
-    :func:`~repro.testing.faulty_spec`.
+    :func:`~repro.testing.faulty_spec`; ``recovery`` holds the engine's
+    ``worker_timeout`` / ``retries`` arguments.
     """
     problem = tiny_problem()
     similarity = NameSimilarityMatrix.build(
@@ -67,7 +66,7 @@ def prebuilt_solve(jobs, start_method=None, resilience=None, plan=None):
             for index, spec in enumerate(workers)
         )
     return ParallelSolveEngine(
-        jobs=jobs, start_method=start_method, resilience=resilience
+        jobs=jobs, start_method=start_method, **recovery
     ).solve(
         problem,
         workers,
@@ -298,12 +297,8 @@ class TestPooledContext:
         plan = FaultPlan(
             entries=(FaultSpec(worker=1, attempt=0, kind="break_pool"),)
         )
-        resilience = ResilienceConfig(
-            retry=RetryPolicy(max_retries=1), pool_rebuilds=1
-        )
         result = prebuilt_solve(
-            jobs=2, start_method=start_method, resilience=resilience,
-            plan=plan,
+            jobs=2, start_method=start_method, plan=plan, retries=1
         )
         assert result.portfolio.pool_rebuilds == 1
         assert all(outcome.ok for outcome in result.portfolio.workers)
@@ -321,12 +316,9 @@ class TestPooledContext:
                 for w in (0, 1)
             )
         )
-        resilience = ResilienceConfig(
-            worker_timeout=1.0, retry=RetryPolicy(max_retries=1)
-        )
         result = prebuilt_solve(
-            jobs=2, start_method=start_method, resilience=resilience,
-            plan=plan,
+            jobs=2, start_method=start_method, plan=plan,
+            worker_timeout=1.0, retries=1,
         )
         assert result.portfolio.pool_rebuilds >= 1
         assert all(outcome.ok for outcome in result.portfolio.workers)

@@ -15,9 +15,10 @@ import pytest
 from repro.exceptions import SearchError
 from repro.run_context import current_run, run_scope
 from repro.search import OptimizerConfig, ParallelSolveEngine, seeded_restarts
+from repro.session import Session
 from repro.testing import FaultPlan, FaultSpec, faulty_spec
 
-from .test_optimizers import tiny_problem
+from .test_optimizers import tiny_problem, tiny_universe
 
 CONFIG = OptimizerConfig(max_iterations=8, patience=6, seed=2)
 
@@ -88,4 +89,38 @@ class TestEngineLeavesTheGlobalClean:
         problem = tiny_problem()
         engine = ParallelSolveEngine(jobs=1)
         engine.solve(problem, seeded_restarts("local", 1, CONFIG))
+        assert installed_check() is None
+
+
+class TestEngineKeepsTheCallersCheck:
+    """An in-process portfolio stops when its caller's check says so."""
+
+    def stopped_iterations(self, **engine_kwargs):
+        with run_scope(stop_check=lambda: True):
+            result = ParallelSolveEngine(jobs=1, **engine_kwargs).solve(
+                tiny_problem(), seeded_restarts("local", 2, CONFIG)
+            )
+        return [o.result.stats.iterations for o in result.portfolio.workers]
+
+    def test_inline_portfolio_inherits_the_check(self):
+        assert self.stopped_iterations() == [0, 0]
+
+    def test_stop_quality_adds_to_the_check(self):
+        # The bound is unreachable, so only the caller's check can stop.
+        assert self.stopped_iterations(stop_quality=2.0) == [0, 0]
+
+    def test_session_portfolio_matches_the_sequential_solve(self):
+        def session():
+            return Session(
+                tiny_universe(),
+                max_sources=4,
+                optimizer_config=OptimizerConfig(max_iterations=20, seed=5),
+                record_runs=False,
+            )
+
+        with run_scope(stop_check=lambda: True):
+            sequential = session().solve()
+            portfolio = session().solve(jobs=1)
+        assert sequential.result.stats.iterations == 0
+        assert portfolio.result.stats.iterations == 0
         assert installed_check() is None

@@ -119,6 +119,25 @@ class TestSessionResilience:
         assert iteration.result.portfolio.timeouts == 0
 
 
+class TestSessionArgumentValidation:
+    """Bad portfolio arguments raise on every path, before any solve."""
+
+    @pytest.mark.parametrize(
+        ("kwargs", "message"),
+        [
+            (dict(jobs=0), "jobs must be >= 1"),
+            (dict(retries=-1), "retries must be >= 0"),
+            (dict(jobs=1, retries=-1), "retries must be >= 0"),
+            (dict(worker_timeout=0.0), "worker_timeout must be > 0"),
+        ],
+    )
+    def test_rejected_before_the_path_is_chosen(self, kwargs, message):
+        session = make_session()
+        with pytest.raises(SearchError, match=message):
+            session.solve(**kwargs)
+        assert session.history == []
+
+
 class TestCliResilience:
     def test_solve_checkpoint_twice_gives_identical_winners(
         self, capsys, tmp_path
